@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 
 from repro.params import (
     BusConfig,
@@ -47,38 +48,75 @@ _COMPONENTS = {
 }
 
 
-def _normalized_fields(cls, component: dict) -> dict:
-    """Coerce field values to their declared numeric types.
+class _FieldTable:
+    """What the converters need to know about one component class.
 
-    JSON (and hand-written config dicts) blur ``1`` / ``1.0``; a
-    float-typed field loaded as an int would survive dataclass
-    construction but produce a *different* canonical form — and thus a
-    different content-address — than the same machine written with a
-    float.  Dedup keying (:mod:`repro.service`) requires normalizing a
-    config to be idempotent, so numeric types are pinned here.
+    Built once per class at import: ``dataclasses.fields`` and
+    ``asdict`` re-derive all of it on every call, and content-addressing
+    a request converts every component of its machine.
     """
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    normalized = {}
-    for key, value in component.items():
-        declared = types.get(key)
-        declared = getattr(declared, "__name__", declared)  # str under PEP 563
-        if isinstance(value, bool):
-            pass  # bool is an int subclass; never silently demote it
-        elif declared == "float" and isinstance(value, int):
-            value = float(value)
-        elif declared == "int" and isinstance(value, float) and value.is_integer():
-            value = int(value)
-        normalized[key] = value
-    return normalized
+
+    __slots__ = ("cls", "names", "known", "numeric", "_values")
+
+    def __init__(self, cls) -> None:
+        fields = dataclasses.fields(cls)
+        self.cls = cls
+        self.names = tuple(f.name for f in fields)
+        self.known = frozenset(self.names)
+        #: Field name -> "int" / "float" for the numerically typed ones.
+        self.numeric = {}
+        for f in fields:
+            declared = getattr(f.type, "__name__", f.type)  # str under PEP 563
+            if declared in ("int", "float"):
+                self.numeric[f.name] = declared
+        self._values = operator.attrgetter(*self.names)
+
+    def as_dict(self, component) -> dict:
+        """``dataclasses.asdict`` for a component of scalar fields."""
+        values = self._values(component)
+        if len(self.names) == 1:
+            values = (values,)
+        return dict(zip(self.names, values))
+
+    def normalized(self, component: dict) -> dict:
+        """Coerce field values to their declared numeric types.
+
+        JSON (and hand-written config dicts) blur ``1`` / ``1.0``; a
+        float-typed field loaded as an int would survive dataclass
+        construction but produce a *different* canonical form — and thus
+        a different content-address — than the same machine written with
+        a float.  Dedup keying (:mod:`repro.service`) requires
+        normalizing a config to be idempotent, so numeric types are
+        pinned here.
+        """
+        normalized = dict(component)
+        numeric = self.numeric
+        for key, value in component.items():
+            declared = numeric.get(key)
+            if declared is None or isinstance(value, bool):
+                continue  # bool is an int subclass; never silently demote it
+            if declared == "float" and isinstance(value, int):
+                normalized[key] = float(value)
+            elif (declared == "int" and isinstance(value, float)
+                    and value.is_integer()):
+                normalized[key] = int(value)
+        return normalized
+
+
+_TABLES = {name: _FieldTable(cls) for name, cls in _COMPONENTS.items()}
 
 
 def machine_config_to_dict(config: MachineConfig) -> dict:
     """Convert a :class:`MachineConfig` to plain nested dicts."""
     return {
-        name: dataclasses.asdict(getattr(config, name))
-        for name in _COMPONENTS
+        name: table.as_dict(getattr(config, name))
+        for name, table in _TABLES.items()
     }
 
+
+#: The model machine's components as dicts: what a partial cache
+#: component in :func:`machine_config_from_dict` is merged over.
+_DEFAULTS = machine_config_to_dict(MachineConfig())
 
 #: Fields that still key the canonical form when the component is
 #: disabled.  Everything else in a disabled prefetcher/fault component is
@@ -95,6 +133,12 @@ _KEYED_WHEN_DISABLED = {
     "faults": {"enabled"},
 }
 
+#: Normalized defaults a disabled component's unkeyed fields mask to.
+_DISABLED_DEFAULTS = {
+    name: _TABLES[name].normalized(_TABLES[name].as_dict(_COMPONENTS[name]()))
+    for name in _KEYED_WHEN_DISABLED
+}
+
 
 def canonical_machine_dict(config: MachineConfig) -> dict:
     """Normalized, default-filled dict form of *config*.
@@ -106,13 +150,11 @@ def canonical_machine_dict(config: MachineConfig) -> dict:
     (``digest(load(dump(c))) == digest(c)``).
     """
     canonical = {}
-    for name, cls in _COMPONENTS.items():
-        component = _normalized_fields(
-            cls, dataclasses.asdict(getattr(config, name))
-        )
+    for name, table in _TABLES.items():
+        component = table.normalized(table.as_dict(getattr(config, name)))
         keyed = _KEYED_WHEN_DISABLED.get(name)
         if keyed is not None and component.get("enabled") is False:
-            defaults = _normalized_fields(cls, dataclasses.asdict(cls()))
+            defaults = _DISABLED_DEFAULTS[name]
             component = {
                 key: value if key in keyed else defaults[key]
                 for key, value in component.items()
@@ -133,7 +175,7 @@ def machine_config_from_dict(data: dict) -> MachineConfig:
         raise ValueError(
             "unknown machine components: %s" % ", ".join(sorted(unknown))
         )
-    for name, cls in _COMPONENTS.items():
+    for name, table in _TABLES.items():
         if name not in data:
             continue
         component = data[name]
@@ -142,19 +184,16 @@ def machine_config_from_dict(data: dict) -> MachineConfig:
                 "component %r must be an object, got %s"
                 % (name, type(component).__name__)
             )
-        fields = {f.name for f in dataclasses.fields(cls)}
-        bad = set(component) - fields
+        bad = set(component) - table.known
         if bad:
             raise ValueError(
                 "unknown fields for %s: %s" % (name, ", ".join(sorted(bad)))
             )
-        component = _normalized_fields(cls, component)
+        component = table.normalized(component)
         if name in ("l1d", "ul2"):
             # CacheConfig has required fields; merge over the defaults.
-            defaults = dataclasses.asdict(getattr(MachineConfig(), name))
-            defaults.update(component)
-            component = defaults
-        kwargs[name] = cls(**component)
+            component = dict(_DEFAULTS[name], **component)
+        kwargs[name] = table.cls(**component)
     return MachineConfig(**kwargs)
 
 

@@ -23,8 +23,18 @@ Queue discipline — pull-based, coordinator-owned:
   atomic-replace idiom (exactly :func:`~repro.service.workers._supervised_entry`),
   never through a worker-written pipe: a SIGKILL mid-job can tear a
   pipe write and wedge the reader, while a missing outcome file plus a
-  dead process is an unambiguous crash.  The coordinator's dispatcher
-  thread polls outcome files and process liveness.
+  dead process is an unambiguous crash.
+* The coordinator's dispatcher thread sleeps until something happens.
+  It blocks on every live worker's sentinel (readable once the process
+  dies), on a per-worker *done* pipe the worker rings with one byte
+  once its outcome file is in place, and on a self-pipe that
+  :meth:`~FabricCoordinator.submit`, :meth:`~FabricCoordinator.kill`,
+  :meth:`~FabricCoordinator.drain_worker` and
+  :meth:`~FabricCoordinator.shutdown` ring.  The pipes carry no data,
+  only wake-ups; outcome files stay the only result channel, and every
+  wake-up re-checks all of them.  A backstop timeout (:data:`_BACKSTOP`)
+  covers a lost ring.  A dead worker's sentinel stays readable, so it
+  leaves the wait set once its death is handled.
 
 Failure semantics are identical to per-job supervised mode — the whole
 point, since the scheduler's retry/quarantine/breaker logic must not
@@ -59,6 +69,7 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_mod
+import select
 import shutil
 import tempfile
 import threading
@@ -74,20 +85,22 @@ __all__ = ["FABRIC_MODE", "FabricCoordinator"]
 #: The ``worker_mode`` string that selects the fabric pool.
 FABRIC_MODE = "fabric"
 
-#: Dispatcher poll period (outcome files + process liveness), seconds.
-_POLL = 0.003
+#: Longest the dispatcher sleeps with nothing waking it, seconds: it
+#: then re-checks every outcome file and worker, in case a ring was lost.
+_BACKSTOP = 1.0
 
 #: How long a draining/shutdown worker may take to exit before SIGKILL.
 _DRAIN_GRACE = 10.0
 
 
-def _fabric_worker_main(name: str, job_q, parent_pid: int) -> None:
+def _fabric_worker_main(name: str, job_q, parent_pid: int, done) -> None:
     """Persistent worker loop: pull one job, run it, persist the outcome.
 
     The outcome write is `_supervised_entry` — same atomic idiom, same
     ``("error", "TypeName: message")`` relay for clean failures — so a
     fabric worker is byte-for-byte the supervised execution path, just
-    long-lived.  The loop also watches its parent: an orphaned worker
+    long-lived.  Once the outcome file is in place the worker rings its
+    *done* pipe.  The loop also watches its parent: an orphaned worker
     (coordinator SIGKILLed) exits instead of idling forever.
     """
     while True:
@@ -101,6 +114,40 @@ def _fabric_worker_main(name: str, job_q, parent_pid: int) -> None:
             return
         _, spec, outcome_path = message
         _supervised_entry(spec, outcome_path)
+        _ring(done.fileno())
+
+
+def _ring(fd: int) -> None:
+    """Write one wake-up byte to a non-blocking pipe.
+
+    A full pipe already holds unread wake-ups; any other failure loses
+    this one, which the dispatcher's backstop covers.
+    """
+    try:
+        os.write(fd, b"\0")
+    except OSError:
+        pass
+
+
+def _doorbell() -> tuple:
+    """``(reader, writer)`` ends of a non-blocking wake-up pipe.
+
+    ``multiprocessing`` connections only so the writer reaches a worker
+    under any start method; both ends are used as raw descriptors.
+    """
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    os.set_blocking(reader.fileno(), False)
+    os.set_blocking(writer.fileno(), False)
+    return reader, writer
+
+
+def _clear(fd: int) -> None:
+    """Read a non-blocking wake-up pipe empty."""
+    try:
+        while os.read(fd, 4096):
+            pass
+    except BlockingIOError:
+        pass
 
 
 class _Pending:
@@ -122,18 +169,23 @@ class _Pending:
 class _WorkerCell:
     """Coordinator-side state for one persistent worker process."""
 
-    __slots__ = ("wid", "name", "process", "job_q", "backlog", "inflight",
-                 "jobs_done", "draining", "kill_code")
+    __slots__ = ("wid", "name", "process", "job_q", "done", "backlog",
+                 "inflight", "jobs_done", "draining", "exited", "kill_code")
 
     def __init__(self, wid: int) -> None:
         self.wid = wid
         self.name = "w%d" % wid
         self.process = None
         self.job_q = None
+        #: The *done* pipe, ``(reader, writer)``; kept across respawns.
+        self.done = _doorbell()
         self.backlog: collections.deque = collections.deque()
         self.inflight: _Pending | None = None
         self.jobs_done = 0
         self.draining = False
+        #: The process is dead and its death handled: its sentinel,
+        #: readable from now on, is out of the dispatcher's wait set.
+        self.exited = False
         self.kill_code: str | None = None
 
 
@@ -159,7 +211,9 @@ class FabricCoordinator:
         self.chaos = chaos
         self._scratch = tempfile.mkdtemp(prefix="repro-fabric-")
         self._lock = threading.Lock()
-        self._wake = threading.Event()
+        self._wake = _doorbell()
+        #: Shutdown has begun: hand out no more jobs, respawn no worker.
+        self._stopping = False
         self._closed = False
         self._seq = 0
         self._cells: list = []
@@ -181,12 +235,16 @@ class FabricCoordinator:
     def _start_process(self, cell: _WorkerCell) -> None:
         cell.job_q = multiprocessing.Queue()
         cell.kill_code = None
+        cell.exited = False
         cell.process = multiprocessing.Process(
             target=_fabric_worker_main,
-            args=(cell.name, cell.job_q, os.getpid()),
+            args=(cell.name, cell.job_q, os.getpid(), cell.done[1]),
             name="repro-fabric-%s" % cell.name, daemon=True,
         )
         cell.process.start()
+
+    def _wake_up(self) -> None:
+        _ring(self._wake[1].fileno())
 
     def workers(self) -> list:
         """Per-worker census for status displays and tests."""
@@ -238,7 +296,7 @@ class FabricCoordinator:
                 )
             cell.backlog.append(pending)
             self._hand_out_locked()
-        self._wake.set()
+        self._wake_up()
         return future
 
     def _next_job_locked(self, cell: _WorkerCell) -> _Pending | None:
@@ -256,6 +314,8 @@ class FabricCoordinator:
 
     def _hand_out_locked(self) -> None:
         """Feed every idle live worker one job (its own or a stolen one)."""
+        if self._stopping:
+            return
         for cell in self._cells:
             if (cell.inflight is not None or cell.draining
                     or not cell.process.is_alive()):
@@ -277,13 +337,24 @@ class FabricCoordinator:
 
     def _dispatch_loop(self) -> None:
         while True:
-            self._wake.wait(_POLL)
-            self._wake.clear()
             with self._lock:
                 if self._closed:
                     return
                 self._harvest_locked()
                 self._hand_out_locked()
+                doorbells = [self._wake[0].fileno()] + [
+                    cell.done[0].fileno() for cell in self._cells
+                ]
+                sentinels = [cell.process.sentinel for cell in self._cells
+                             if not cell.exited]
+            poller = select.poll()
+            for fd in doorbells + sentinels:
+                poller.register(fd, select.POLLIN)
+            poller.poll(_BACKSTOP * 1000.0)
+            # Empty the pipes before the next harvest looks: a ring
+            # after this point wakes the next poll.
+            for fd in doorbells:
+                _clear(fd)
 
     def _harvest_locked(self) -> None:
         for cell in self._cells:
@@ -293,21 +364,21 @@ class FabricCoordinator:
                     cell.inflight = None
                     cell.jobs_done += 1
                     self._resolve(pending)
-                    continue
-                if not cell.process.is_alive():
+                elif not cell.process.is_alive():
                     # Died mid-job (chaos, the reaper's kill, a real
                     # crash): the scheduler sees the same WorkerCrashed
                     # a per-job supervised worker would raise.
                     cell.inflight = None
                     self._fail_crashed(pending, cell)
-                    if not self._closed and not cell.draining:
+                    if not self._stopping and not cell.draining:
                         self.respawns += 1
                         self._start_process(cell)
-                    continue
-            if (cell.draining and pending is None
+            if (cell.inflight is None and not cell.exited
                     and not cell.process.is_alive()):
-                cell.draining = False  # drained and exited: cell is spare
-                self.drained += 1
+                if cell.draining:
+                    cell.draining = False  # drained and exited: spare
+                    self.drained += 1
+                cell.exited = True
 
     def _resolve(self, pending: _Pending) -> None:
         try:
@@ -348,7 +419,7 @@ class FabricCoordinator:
                         and cell.process.is_alive()):
                     cell.kill_code = code
                     cell.process.kill()
-                    self._wake.set()
+                    self._wake_up()
                     return True
         return False
 
@@ -379,13 +450,14 @@ class FabricCoordinator:
                     cell.backlog.popleft()
                 )
             cell.job_q.put(("drain",))
-        self._wake.set()
+        self._wake_up()
         return True
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
             if self._closed:
                 return
+            self._stopping = True
             cells = list(self._cells)
             for cell in cells:
                 try:
@@ -415,7 +487,12 @@ class FabricCoordinator:
                             "fabric shut down before the job ran"
                         ))
                 cell.job_q.close()
-        self._wake.set()
-        if self._dispatcher.is_alive():
-            self._dispatcher.join(timeout=2.0)
+        self._wake_up()
+        self._dispatcher.join(timeout=2.0)
+        if not self._dispatcher.is_alive():
+            # Only now: a descriptor closed under a polling dispatcher
+            # could be reused by another file before it looks again.
+            for reader, writer in [self._wake] + [c.done for c in cells]:
+                reader.close()
+                writer.close()
         shutil.rmtree(self._scratch, ignore_errors=True)

@@ -236,76 +236,75 @@ async def _read_request(reader, max_body: int,
     ``None`` means the peer closed the connection between requests (or
     went silent before sending a request line) — the normal end of a
     keep-alive session, not an error.  Once a request line has arrived,
-    a peer that stalls mid-headers or mid-body past the corresponding
-    timeout gets a typed 408 — the slowloris answer.  ``target`` keeps
-    its query string; the dispatcher splits it.
+    the rest of the head must arrive within *header_timeout* and the
+    body within *body_timeout* of the head's end; a peer that misses
+    either gets a typed 408 — the slowloris answer, however slowly it
+    trickles.  One timer serves the whole request, moved forward at
+    each stage.  ``target`` keeps its query string; the dispatcher
+    splits it.
     """
+    loop = asyncio.get_running_loop()
 
-    async def timed(coroutine, timeout, what):
-        if timeout is None:
-            return await coroutine
-        try:
-            return await asyncio.wait_for(coroutine, timeout)
-        except asyncio.TimeoutError:
-            raise HttpError(
-                408, "%s stalled past %.1fs" % (what, timeout),
-                "request_timeout",
-            ) from None
+    def deadline(timeout):
+        return None if timeout is None else loop.time() + timeout
 
+    # What a timeout interrupts.  None while waiting for a request line:
+    # a silent peer there is idle, not stalled, and its connection is
+    # reclaimed quietly instead of answering 408 to nobody.
+    stage = None
     try:
-        # A silent peer here is idle, not stalled: reclaim the
-        # connection quietly instead of answering 408 to nobody.
-        if header_timeout is None:
+        async with asyncio.timeout(header_timeout) as timer:
             line = await reader.readline()
-        else:
-            try:
-                line = await asyncio.wait_for(
-                    reader.readline(), header_timeout
-                )
-            except asyncio.TimeoutError:
+            if not line:
                 return None
+            stage, timeout = "header read", header_timeout
+            timer.reschedule(deadline(header_timeout))
+            try:
+                method, target, _version = line.decode("latin-1").split()
+            except ValueError:
+                raise HttpError(400, "malformed request line", "bad_request")
+            headers = {}
+            for _ in range(MAX_HEADER_LINES):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise HttpError(400, "too many header lines", "bad_request")
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:
+                raise HttpError(400, "bad Content-Length", "bad_request")
+            if length > max_body:
+                raise HttpError(413, "request body too large", "too_large")
+            body = b""
+            if length:
+                stage, timeout = "body read", body_timeout
+                timer.reschedule(deadline(body_timeout))
+                body = await reader.readexactly(length)
+    except TimeoutError:
+        if stage is None:
+            return None
+        raise HttpError(
+            408, "%s stalled past %.1fs" % (stage, timeout),
+            "request_timeout",
+        ) from None
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
-    if not line:
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split()
-    except ValueError:
-        raise HttpError(400, "malformed request line", "bad_request")
-    headers = {}
-    for _ in range(MAX_HEADER_LINES):
-        try:
-            line = await timed(
-                reader.readline(), header_timeout, "header read"
-            )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return None
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    else:
-        raise HttpError(400, "too many header lines", "bad_request")
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise HttpError(400, "bad Content-Length", "bad_request")
-    if length > max_body:
-        raise HttpError(413, "request body too large", "too_large")
-    body = b""
-    if length:
-        try:
-            body = await timed(
-                reader.readexactly(length), body_timeout, "body read"
-            )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return None
     return method.upper(), target, headers, body
+
+
+class _JSONBytes(bytes):
+    """A response body already rendered as JSON (a kept result body)."""
 
 
 def _render_response(status: int, body, headers: dict | None = None,
                      keep_alive: bool = True) -> bytes:
-    if isinstance(body, bytes):
+    if isinstance(body, _JSONBytes):
+        payload = body
+        content_type = "application/json"
+    elif isinstance(body, bytes):
         payload = body
         content_type = "text/plain; version=0.0.4; charset=utf-8"
     else:
@@ -327,10 +326,28 @@ def _render_response(status: int, body, headers: dict | None = None,
 # the server
 # ---------------------------------------------------------------------------
 
+def _render_result(encoded: dict) -> tuple:
+    """The ``/result`` body of *encoded* as the bytes around its source.
+
+    The body is *encoded* (:func:`encode_result`) plus the record's
+    ``source``, rendered as :func:`_render_response` renders any body:
+    sorted keys, so ``digest``, ``kind``, ``source``, ``state``.  Only
+    ``source`` can change between two reads of one digest (a later
+    submission may be a cache hit), so the JSON before and after its
+    value is rendered once and a read splices the source in.
+    """
+    head = '{"digest": %s, "kind": %s, "source": ' % (
+        json.dumps(encoded["digest"]), json.dumps(encoded["kind"]),
+    )
+    tail = ', "state": %s}\n' % json.dumps(encoded["state"], sort_keys=True)
+    return head.encode(), tail.encode()
+
+
 class _JobRecord:
     """What the server remembers about a digest it accepted over HTTP."""
 
-    __slots__ = ("digest", "priority", "source", "state", "result", "failure")
+    __slots__ = ("digest", "priority", "source", "state", "result", "body",
+                 "failure")
 
     def __init__(self, digest: str, priority: Priority, source: str,
                  state: str) -> None:
@@ -339,6 +356,10 @@ class _JobRecord:
         self.source = source
         self.state = state  # queued | running | done | failed
         self.result = None
+        #: The rendered result (:func:`_render_result`), kept from the
+        #: first read of a done job: a content-addressed result never
+        #: changes, so repeat reads skip the store and the encoding.
+        self.body = None
         self.failure = None  # {"code", "error", "attempts"} when failed
 
     def status_body(self) -> dict:
@@ -783,17 +804,20 @@ class ServiceHTTPServer:
             )
         if record.state != "done":
             return 202, record.status_body(), {}
-        result = record.result
-        if result is None and self.service.store is not None:
-            result = self.service.store.get(digest)
-        if result is None:
-            raise HttpError(
-                404, "result for %s is gone (store pruned?)" % digest[:12],
-                "not_found",
-            )
-        body = {"digest": digest, "source": record.source}
-        body.update(encode_result(result))
-        return 200, body, {}
+        if record.body is None:
+            result = record.result
+            if result is None and self.service.store is not None:
+                result = self.service.store.get(digest)
+            if result is None:
+                raise HttpError(
+                    404, "result for %s is gone (store pruned?)" % digest[:12],
+                    "not_found",
+                )
+            record.body = _render_result(encode_result(result))
+            record.result = None  # the body is all a later read needs
+        head, tail = record.body
+        return 200, _JSONBytes(head + json.dumps(record.source).encode()
+                               + tail), {}
 
     def _health_body(self) -> dict:
         service = self.service
@@ -828,8 +852,8 @@ class ServiceHTTPServer:
             record.priority = job.priority
         self._jobs[digest] = record  # re-insert: LRU order
         if job.state == "done" and job.future.done():
-            # Keep the object only when there is no store to re-read it
-            # from — the registry is an index, not a second cache.
+            # Keep the object only when there is no store for the first
+            # /result read to render it from.
             record.result = None if self.service.store is not None \
                 else job.future.result()
         elif not job.future.done():
@@ -848,9 +872,7 @@ class ServiceHTTPServer:
         if exc is None:
             record.state = "done"
             record.source = job.source
-            # The result itself stays in the store (or nowhere, if the
-            # service is storeless); the registry keeps it only for the
-            # storeless case so /result still works.
+            # As in _remember: the object only when there is no store.
             record.result = None if self.service.store is not None \
                 else future.result()
             return

@@ -146,9 +146,16 @@ def canonical_request_tree(request: SimRequest) -> dict:
     }
 
 
-def request_digest(request: SimRequest) -> str:
-    """Hex content address of *request* (32 hex chars, blake2b-128)."""
-    return state_digest(canonical_request_tree(request))
+def request_digest(request: SimRequest, tree: dict | None = None) -> str:
+    """Hex content address of *request* (32 hex chars, blake2b-128).
+
+    *tree*, when given, must be ``canonical_request_tree(request)``: a
+    caller that also needs the tree (the scheduler keys the store's
+    fingerprint with it) builds it once and hashes that.
+    """
+    if tree is None:
+        tree = canonical_request_tree(request)
+    return state_digest(tree)
 
 
 def request_from_fingerprint(fingerprint: dict) -> SimRequest:

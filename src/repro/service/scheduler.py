@@ -423,6 +423,10 @@ class Job:
     spec: dict
     future: asyncio.Future
     submitted_at: float
+    #: The canonical request tree the digest hashes; the store keys its
+    #: fingerprint with it (read and write).  :meth:`SimulationService.submit`
+    #: passes the one it built; otherwise it is built here.
+    fingerprint: dict | None = None
     state: str = "queued"  # queued | running | done | failed
     #: How this job was (or will be) satisfied: "cache", "dedup" joins
     #: report the *join* source to their submitter; a fresh job computes.
@@ -450,6 +454,10 @@ class Job:
     #: clock between observations.
     last_beat_mtime: float = 0.0
     last_beat_mono: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.fingerprint is None:
+            self.fingerprint = canonical_request_tree(self.request)
 
 
 class _Latency:
@@ -798,7 +806,7 @@ class SimulationService:
                 "digest": job.digest,
                 "benchmark": job.request.benchmark,
                 "mode": job.request.mode,
-                "fingerprint": canonical_request_tree(job.request),
+                "fingerprint": job.fingerprint,
                 "attempts": job.attempts,
                 "deaths": job.deaths,
                 "final_code": failure.code,
@@ -907,7 +915,8 @@ class SimulationService:
             raise ServiceClosed("service is shut down; submission refused")
         priority = Priority(priority)
         loop = asyncio.get_running_loop()
-        digest = request_digest(request)
+        tree = canonical_request_tree(request)
+        digest = request_digest(request, tree)
         self._stats.submitted += 1
         if deadline is not None and deadline <= 0:
             self._stats.deadline_shed += 1
@@ -948,9 +957,7 @@ class SimulationService:
             return existing
 
         if self.store is not None:
-            cached = self.store.get(
-                digest, fingerprint=canonical_request_tree(request)
-            )
+            cached = self.store.get(digest, fingerprint=tree)
             if cached is not None:
                 self._stats.cache_hits += 1
                 perf.counter("service.cache_hit")
@@ -960,7 +967,7 @@ class SimulationService:
                 return Job(
                     request=request, digest=digest, priority=priority,
                     spec={}, future=future, submitted_at=loop.time(),
-                    state="done", source="cache",
+                    fingerprint=tree, state="done", source="cache",
                 )
 
         if digest in self._poisoned:
@@ -986,7 +993,7 @@ class SimulationService:
             request=request, digest=digest, priority=priority,
             spec=make_job_spec(request, digest, snapshot),
             future=loop.create_future(), submitted_at=loop.time(),
-            deadline=deadline_at,
+            fingerprint=tree, deadline=deadline_at,
         )
         if self._supervised:
             job.spec["supervise"] = {
@@ -1281,9 +1288,7 @@ class SimulationService:
             clear_preempt_flag(self.snapshot_dir, job.digest)
         if self.store is not None:
             self.store.put(
-                job.digest, result,
-                fingerprint=canonical_request_tree(job.request),
-                meta=meta,
+                job.digest, result, fingerprint=job.fingerprint, meta=meta,
             )
         if meta.get("resumed"):
             self._stats.resumed += 1

@@ -18,6 +18,14 @@ snapshot/resume machinery depends on:
 Floats are encoded via ``float.hex()`` — exact, every bit of the value
 participates — so timestamp arithmetic that drifts by one ULP is caught,
 not masked by decimal rounding.
+
+:func:`canonical_bytes` builds the encoding as latin-1 text (one
+character per output byte) with the common leaves of a dict — exact
+``int``, ASCII ``str``, ``float``, ``bool`` — formatted in line, and
+hands everything else (subclasses such as ``IntEnum``, non-ASCII text,
+``bytearray``, unsupported values) to :func:`_encode`, the reference
+encoder.  :func:`_encode` defines the format; the fast path is tested
+byte-identical against it.
 """
 
 from __future__ import annotations
@@ -34,19 +42,83 @@ _DIGEST_SIZE = 16
 
 def canonical_bytes(tree) -> bytes:
     """Deterministic byte encoding of a state tree (see module docs)."""
-    out = bytearray()
-    _encode(tree, out)
-    return bytes(out)
+    parts: list = []
+    _put(tree, parts.append)
+    return "".join(parts).encode("latin-1")
 
 
 def state_digest(tree) -> str:
     """Hex digest of a state tree's canonical encoding."""
-    digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    digest.update(canonical_bytes(tree))
-    return digest.hexdigest()
+    return hashlib.blake2b(
+        canonical_bytes(tree), digest_size=_DIGEST_SIZE
+    ).hexdigest()
+
+
+def _put(value, append) -> None:
+    """Append *value*'s encoding, as latin-1 text, through *append*."""
+    kind = type(value)
+    if kind is dict:
+        append(f"d{len(value)}:")
+        for key in sorted(value):
+            item = value[key]
+            if type(key) is str and key.isascii():
+                head = f"s{len(key)}:{key}"
+            elif isinstance(key, str):
+                head = _reference_text(key)
+            else:
+                raise _key_error(key)
+            kind = type(item)
+            if kind is int:
+                body = str(item)
+                append(f"{head}i{len(body)}:{body}")
+            elif kind is str and item.isascii():
+                append(f"{head}s{len(item)}:{item}")
+            elif kind is float:
+                body = item.hex()
+                append(f"{head}f{len(body)}:{body}")
+            elif kind is bool:
+                append(head + ("T" if item else "F"))
+            else:
+                append(head)
+                _put(item, append)
+    elif kind is list or kind is tuple:
+        append(f"l{len(value)}:")
+        for item in value:
+            _put(item, append)
+    elif kind is int:
+        body = str(value)
+        append(f"i{len(body)}:{body}")
+    elif kind is str and value.isascii():
+        append(f"s{len(value)}:{value}")
+    elif kind is float:
+        body = value.hex()
+        append(f"f{len(body)}:{body}")
+    elif value is None:
+        append("N")
+    elif kind is bool:
+        append("T" if value else "F")
+    elif kind is bytes:
+        append(f"b{len(value)}:")
+        append(value.decode("latin-1"))
+    else:
+        append(_reference_text(value))
+
+
+def _reference_text(value) -> str:
+    out = bytearray()
+    _encode(value, out)
+    return out.decode("latin-1")
+
+
+def _key_error(key) -> TypeError:
+    return TypeError(
+        "state-tree dict keys must be str, got %r "
+        "(encode order-significant mappings as lists of pairs)" % (key,)
+    )
 
 
 def _encode(value, out: bytearray) -> None:
+    """The reference encoder: the format's definition (see module docs)."""
     # bool must precede int: True is an int instance.
     if value is None:
         out += b"N"
@@ -77,11 +149,7 @@ def _encode(value, out: bytearray) -> None:
         out += b"d%d:" % len(value)
         for key in sorted(value):
             if not isinstance(key, str):
-                raise TypeError(
-                    "state-tree dict keys must be str, got %r "
-                    "(encode order-significant mappings as lists of pairs)"
-                    % (key,)
-                )
+                raise _key_error(key)
             _encode(key, out)
             _encode(value[key], out)
     else:

@@ -8,6 +8,7 @@ so the scheduler genuinely does not care which pool it drives.
 """
 
 import asyncio
+import os
 import pickle
 import time
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.params import MachineConfig
 from repro.service import SimRequest, SimulationService, request_digest
+from repro.service import fabric as fabric_module
 from repro.service.fabric import FabricCoordinator
 from repro.service.workers import (
     JobExecutionError,
@@ -145,6 +147,70 @@ class TestCoordinator:
                 future.result(timeout=0)
             except WorkerCrashed:
                 pass  # stranded or killed: both resolve, never dangle
+
+
+_needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                 reason="needs Linux /proc")
+
+
+def _voluntary_switches(thread) -> int:
+    path = "/proc/self/task/%d/status" % thread.native_id
+    with open(path) as handle:
+        for line in handle:
+            if line.startswith("voluntary_ctxt_switches:"):
+                return int(line.split()[1])
+    raise AssertionError("no voluntary_ctxt_switches in %s" % path)
+
+
+class TestDispatcherWakeups:
+    """The dispatcher sleeps until a sentinel, a pipe or its backstop."""
+
+    @_needs_proc
+    def test_idle_dispatcher_barely_wakes(self):
+        fabric = FabricCoordinator(max_workers=2)
+        try:
+            assert _wait(fabric.submit(_spec(_request()))) is not None
+            time.sleep(0.2)
+            before = _voluntary_switches(fabric._dispatcher)
+            started = time.monotonic()
+            time.sleep(2.0)
+            rate = (_voluntary_switches(fabric._dispatcher) - before) / (
+                time.monotonic() - started)
+            assert rate < 10, "idle dispatcher woke %.0f times/s" % rate
+        finally:
+            fabric.shutdown()
+
+    def test_job_resolves_when_every_ring_is_lost(self, monkeypatch):
+        # Forked workers inherit the patch: neither the done pipe nor
+        # the self-pipe ever carries a byte, and the worker stays alive
+        # (no sentinel), so only the backstop can find the outcome.
+        monkeypatch.setattr(fabric_module, "_ring", lambda fd: None)
+        fabric = FabricCoordinator(max_workers=1)
+        try:
+            outcome = _wait(fabric.submit(_spec(_request())), timeout=60)
+            assert outcome[0] == "done"
+            assert fabric.workers()[0]["jobs_done"] == 1
+        finally:
+            fabric.shutdown()
+
+    @_needs_proc
+    def test_dead_worker_sentinel_leaves_the_wait_set(self):
+        # A drained worker's sentinel stays readable for good; polling it
+        # again would spin the dispatcher.
+        fabric = FabricCoordinator(max_workers=2)
+        try:
+            assert fabric.drain_worker("w0")
+            deadline = time.monotonic() + 30
+            while fabric.drained < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.2)
+            before = _voluntary_switches(fabric._dispatcher)
+            time.sleep(1.0)
+            assert _voluntary_switches(fabric._dispatcher) - before < 10
+            assert _wait(fabric.submit(_spec(_request()))) is not None
+        finally:
+            fabric.shutdown()
 
 
 class TestFabricThroughScheduler:

@@ -211,6 +211,46 @@ class TestSlowlorisTimeouts:
         assert _body_of(raw)["code"] == "request_timeout"
         assert "repro_service_http_request_timeouts_total 1" in metrics
 
+    def test_trickled_headers_get_408_within_the_head_timeout(self, tmp_path):
+        # One header line every 0.6 x header_timeout: no single line's
+        # read ever stalls that long, but the head as a whole must not
+        # take longer than header_timeout either.
+        header_timeout = 0.25
+
+        async def scenario():
+            service, server = await _serving(
+                tmp_path, header_timeout=header_timeout,
+                body_timeout=header_timeout,
+            )
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            writer.write(b"GET /health HTTP/1.1\r\n")
+            await writer.drain()
+            answer = asyncio.ensure_future(reader.read(65536))
+            for index in range(40):
+                done, _ = await asyncio.wait(
+                    {answer}, timeout=0.6 * header_timeout
+                )
+                if done:
+                    break
+                writer.write(b"X-Trickle-%d: 1\r\n" % index)
+                await writer.drain()
+            raw = await asyncio.wait_for(answer, 5.0)
+            elapsed = loop.time() - started
+            writer.close()
+            metrics_raw = await _raw(server.port, _get("/metrics"))
+            await _teardown(service, server)
+            return raw, elapsed, metrics_raw.decode()
+
+        raw, elapsed, metrics = _drive(scenario())
+        assert _status_of(raw) == 408
+        assert _body_of(raw)["code"] == "request_timeout"
+        assert elapsed < 3 * header_timeout
+        assert "repro_service_http_request_timeouts_total 1" in metrics
+
     def test_idle_connection_is_closed_quietly(self, tmp_path):
         async def scenario():
             service, server = await _serving(

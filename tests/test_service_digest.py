@@ -5,7 +5,10 @@ machine configuration survives any dump/load round trip with its digest
 intact — ``digest(load(dump(params))) == digest(params)``.
 """
 
+import dataclasses
+import enum
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from repro.configio import (
     save_machine_config,
 )
 from repro.params import MachineConfig
+from repro.snapshot import digest as digest_module
 from repro.service.request import (
     Priority,
     SimRequest,
@@ -219,3 +223,153 @@ class TestRequestValidation:
         for name in ("SimulationService", "ResultStore", "SimRequest",
                      "ServiceSession", "request_digest", "Priority"):
             assert hasattr(service, name)
+
+
+# -- pinned content addresses -------------------------------------------------
+
+#: Request digests recorded before the machine converters and the digest
+#: encoder were rewritten for speed.  A moved address orphans every
+#: stored result, and ``bench/golden.json`` pins only *result* digests.
+#: figure 9 benchmark -> (stride-only baseline, first CDP cell) at scale
+#: 0.02, seed 1.
+PINNED_SWEEP = {
+    "b2c": ("b6a5c1f37a0c4cb0203cd41e05ac22ae",
+            "f64e2b94bacd6d282c26af5b2a40d592"),
+    "quake": ("101508e6b3cf74cc0fac1785e481ed56",
+              "b64c64136955774fc22df03a8545c910"),
+    "rc3": ("bb1c3877fc656253bd3776354d9f071e",
+            "8fa9338f14ed307ac0e7705f2afe200e"),
+    "tpcc-2": ("e8d5ed80cf0ad0183d14e97c2ef2d973",
+               "a5f01d5538d94343395194c1d7629b4c"),
+    "verilog-func": ("9d640de291af22536772e201e435312d",
+                     "d5c023046c569f2f66ea68fdb806ea12"),
+    "specjbb-vsnet": ("514fc9b3f7efabce3865062136c0852b",
+                      "b7cb2bf40fadbb4ae3be1f12af66c779"),
+}
+
+
+def _figure9_cells() -> list:
+    from repro.experiments.common import model_machine
+    from repro.experiments.fig9 import DEPTHS, WIDTHS
+    from repro.service.client import sweep_requests
+    from repro.workloads.suite import REPRESENTATIVES
+
+    prev_lines, next_lines = WIDTHS[0]
+    first = model_machine().with_content(
+        depth_threshold=DEPTHS[0], reinforcement=False,
+        prev_lines=prev_lines, next_lines=next_lines,
+    )
+    return sweep_requests(first, REPRESENTATIVES, 0.02, seed=1)
+
+
+class TestPinnedAddresses:
+    def test_figure9_baseline_and_first_cdp_cells(self):
+        got = {
+            name: (request_digest(baseline), request_digest(cdp))
+            for name, baseline, cdp in _figure9_cells()
+        }
+        assert got == PINNED_SWEEP
+
+    def test_figure9_cells_keep_their_address_over_the_wire(self):
+        from repro.service.http import request_to_wire
+
+        for name, baseline, cdp in _figure9_cells():
+            got = tuple(
+                request_digest(SimRequest.from_dict(request_to_wire(cell)))
+                for cell in (baseline, cdp)
+            )
+            assert got == PINNED_SWEEP[name]
+
+    def test_functional_request(self):
+        request = SimRequest(machine=MachineConfig(), benchmark="b2c",
+                             scale=0.05, seed=3, mode="functional")
+        assert request_digest(request) == "adda07ae501d7e9ae8c32d32d89b0b80"
+
+    def test_partial_machine_dict_with_ints_in_float_fields(self):
+        request = SimRequest.from_dict({
+            "benchmark": "quake", "scale": 1, "seed": 2,
+            "warmup_fraction": 0,
+            "machine": {
+                "bus": {"bandwidth_bytes_per_cycle": 1},
+                "content": {"depth_threshold": 5, "next_lines": 2.0},
+                "ul2": {"size_bytes": 524288},
+                "faults": {"bus_drop_rate": 0},
+            },
+        })
+        assert request_digest(request) == "f848bd4934bf76443ca64dfd330c2aa6"
+
+    def test_prebuilt_tree_gives_the_same_digest(self):
+        for _, baseline, cdp in _figure9_cells():
+            for cell in (baseline, cdp):
+                tree = canonical_request_tree(cell)
+                assert request_digest(cell, tree) == request_digest(cell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(machine=machines)
+def test_component_dicts_match_dataclasses_asdict(machine):
+    assert machine_config_to_dict(machine) == {
+        name: dataclasses.asdict(getattr(machine, name))
+        for name in machine_config_to_dict(machine)
+    }
+
+
+# -- the fast canonical encoder against the reference -------------------------
+
+class _Wide(enum.IntEnum):
+    SMALL = 3
+    HUGE = 2 ** 70
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 300),
+    st.integers(min_value=-(2 ** 300), max_value=-(2 ** 64)),
+    st.sampled_from(list(Priority) + list(_Wide)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]),
+    st.text(max_size=12),
+    st.text(alphabet=st.characters(min_codepoint=0x80,
+                                   blacklist_categories=("Cs",)),
+            max_size=6),
+    st.binary(max_size=12),
+)
+
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+def _reference_bytes(tree) -> bytes:
+    out = bytearray()
+    digest_module._encode(tree, out)
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees)
+def test_fast_encoder_matches_the_reference(tree):
+    assert digest_module.canonical_bytes(tree) == _reference_bytes(tree)
+
+
+def test_fast_encoder_matches_the_reference_on_request_trees():
+    for _, baseline, cdp in _figure9_cells():
+        for cell in (baseline, cdp):
+            tree = canonical_request_tree(cell)
+            assert digest_module.canonical_bytes(tree) == \
+                _reference_bytes(tree)
+
+
+def test_both_encoders_reject_text_utf8_cannot_encode():
+    for tree in ("\ud800", {"k": "\udfff"}, {"\ud800": 1}):
+        for encode in (digest_module.canonical_bytes, _reference_bytes):
+            with pytest.raises(UnicodeEncodeError):
+                encode(tree)

@@ -80,6 +80,18 @@ class TestResultCodec:
         with pytest.raises(ValueError, match="digest mismatch"):
             decode_result(encoded)
 
+    def test_kept_result_body_renders_like_any_json_body(self):
+        from repro.core.results import FunctionalResult
+        from repro.service.http import _render_result
+
+        encoded = encode_result(FunctionalResult(name="x"))
+        head, tail = _render_result(encoded)
+        for source in ("computed", "cache", "dedup"):
+            body = dict(encoded, source=source)
+            assert head + json.dumps(source).encode() + tail == (
+                json.dumps(body, indent=None, sort_keys=True) + "\n"
+            ).encode()
+
     def test_non_result_payloads_are_rejected(self):
         with pytest.raises(TypeError):
             encode_result({"not": "a result"})
@@ -124,6 +136,45 @@ class TestHTTPRoundTrip:
         assert status == 200
         assert body["state"] == "done"
         assert body["source"] == "cache"
+
+    def test_repeat_result_reads_skip_the_store_and_the_encoding(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import http as http_module
+
+        calls = {"get": 0, "encode": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        async def scenario():
+            service, server = await _serving(tmp_path)
+            client = AsyncServiceClient(port=server.port)
+            await client.run(_request())  # computed, then read once
+            digest = request_digest(_request())
+            monkeypatch.setattr(service.store, "get",
+                                counting("get", service.store.get))
+            monkeypatch.setattr(http_module, "encode_result",
+                                counting("encode", encode_result))
+            path = "/v1/jobs/%s/result" % digest
+            reads = [(await client.request("GET", path))[2]]
+            # A cache-hit POST reads the store and changes the source the
+            # next read reports; the kept body follows it.
+            await client.request("POST", "/v1/jobs",
+                                 request_to_wire(_request()))
+            reads.append((await client.request("GET", path))[2])
+            await _teardown(service, server, client)
+            return reads
+
+        computed, cached = _drive(scenario())
+        assert calls == {"get": 1, "encode": 0}
+        assert computed["source"] == "computed"
+        assert cached["source"] == "cache"
+        assert dict(computed, source="cache") == cached
+        assert decode_result(cached).uops > 0  # digest-verified
 
     def test_result_while_pending_is_202(self, tmp_path):
         async def scenario():
