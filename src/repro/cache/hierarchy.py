@@ -4,13 +4,12 @@ The paper's memory system (Figure 6) features "a virtually indexed L1 data
 cache and a physically indexed L2 unified cache; meaning L1 cache misses
 require a virtual-to-physical address translation prior to accessing the L2
 cache".  :class:`CacheHierarchy` bundles the L1, UL2, DTLB, page table and
-backing memory and centralises that translation step so both the functional
-and the timing simulator share one implementation.
+backing memory for one machine.  Each simulator translates on its own miss
+path, straight through the DTLB and the page table: the timing simulator
+prices the page walker's reads, the functional one does not.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.cache.setassoc import SetAssociativeCache
 from repro.memory.address import line_mask
@@ -19,18 +18,7 @@ from repro.memory.pagetable import PageTable
 from repro.params import MachineConfig
 from repro.tlb.dtlb import DataTLB
 
-__all__ = ["TranslationResult", "CacheHierarchy"]
-
-
-@dataclass(frozen=True)
-class TranslationResult:
-    """Outcome of one virtual-to-physical translation."""
-
-    paddr: int
-    tlb_hit: bool
-    # Physical line addresses read by the hardware page walker (empty on a
-    # TLB hit).  Page-walk traffic bypasses the content prefetcher.
-    walk_line_addrs: tuple = ()
+__all__ = ["CacheHierarchy"]
 
 
 class CacheHierarchy:
@@ -68,29 +56,6 @@ class CacheHierarchy:
 
     def line_of(self, address: int) -> int:
         return address & self._line_mask
-
-    def translate(self, vaddr: int) -> TranslationResult:
-        """Translate through the DTLB, walking the page table on a miss."""
-        paddr = self.dtlb.translate(vaddr)
-        if paddr is not None:
-            return TranslationResult(paddr, tlb_hit=True)
-        paddr = self.page_table.translate(vaddr)
-        walk = tuple(
-            self.line_of(a) for a in self.page_table.walk_addresses(vaddr)
-        )
-        self.dtlb.insert(vaddr, paddr)
-        return TranslationResult(paddr, tlb_hit=False, walk_line_addrs=walk)
-
-    def probe_translation(self, vaddr: int) -> int | None:
-        """TLB-only probe (no walk, no state change); ``None`` on miss.
-
-        Used by the off-chip prefetcher model which has no walker access.
-        """
-        return self.dtlb.peek(vaddr)
-
-    def read_line_bytes(self, line_vaddr: int) -> bytes:
-        """Fetch the raw bytes of a (virtual) cache line for scanning."""
-        return self.memory.read_line(line_vaddr, self.config.line_size)
 
     def reset_stats(self) -> None:
         self.l1.stats = type(self.l1.stats)()

@@ -33,13 +33,6 @@ class MissStatus:
     promoted: bool = False
     extra: dict = field(default_factory=dict)
 
-    def promote_to_demand(self) -> None:
-        """A demand load matched this in-flight prefetch."""
-        self.demand_waiters += 1
-        if self.requester.is_prefetch and not self.promoted:
-            self.promoted = True
-            self.depth = 0
-
     def state_dict(self) -> dict:
         """Snapshot hook: one in-flight fill as a plain-value tree."""
         return {

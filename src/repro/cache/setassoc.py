@@ -17,6 +17,10 @@ from repro.snapshot.hooks import dataclass_state, load_dataclass_state
 
 __all__ = ["CacheStats", "SetAssociativeCache"]
 
+_DEMAND = Requester.DEMAND
+#: Requester names indexed by requester value (the stats keys).
+_REQUESTER_NAMES = tuple(requester.name for requester in Requester)
+
 
 @dataclass(slots=True)
 class CacheStats:
@@ -34,16 +38,6 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
-
-    def record_prefetch_fill(self, requester: Requester) -> None:
-        key = requester.name
-        self.prefetch_fills_by[key] = self.prefetch_fills_by.get(key, 0) + 1
-
-    def record_useful_prefetch(self, requester: Requester) -> None:
-        key = requester.name
-        self.useful_prefetches_by[key] = (
-            self.useful_prefetches_by.get(key, 0) + 1
-        )
 
 
 class SetAssociativeCache:
@@ -125,7 +119,7 @@ class SetAssociativeCache:
         self,
         address: int,
         vaddr: int | None = None,
-        requester: Requester = Requester.DEMAND,
+        requester: Requester = _DEMAND,
         depth: int = 0,
         time: int = 0,
         kind: str = "",
@@ -146,31 +140,28 @@ class SetAssociativeCache:
             # common on the prefetch path): monotone depth, demand marks.
             if depth < existing.depth:
                 existing.depth = depth
-            if requester is Requester.DEMAND:
+            if requester is _DEMAND:
                 existing.referenced = True
             cache_set.move_to_end(tag)
             return None
         stats = self.stats
         victim = None
         if len(cache_set) >= self._assoc:
-            _, victim = cache_set.popitem(last=False)
+            victim = cache_set.popitem(False)[1]
             stats.evictions += 1
-            if (
-                victim.requester is not Requester.DEMAND
-                and not victim.referenced
-            ):
+            if victim.requester is not _DEMAND and not victim.referenced:
                 stats.polluting_evictions += 1
         cache_set[tag] = CacheLine(
-            tag,
-            vaddr if vaddr is not None else address,
-            requester=requester,
-            depth=depth,
-            fill_time=time,
-            kind=kind,
+            tag, address if vaddr is None else vaddr, requester, depth,
+            time, kind,
         )
         stats.fills += 1
-        if requester is not Requester.DEMAND:
-            stats.record_prefetch_fill(requester)
+        if requester is not _DEMAND:
+            # Keyed by requester name; the enum's ``.name`` is a
+            # Python-level property, so index a precomputed tuple.
+            name = _REQUESTER_NAMES[requester]
+            by = stats.prefetch_fills_by
+            by[name] = by.get(name, 0) + 1
         return victim
 
     def invalidate(self, address: int) -> CacheLine | None:

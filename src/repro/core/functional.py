@@ -25,13 +25,17 @@ from repro.memory.address import line_mask
 from repro.memory.backing import BackingMemory
 from repro.memory.pagetable import PageTable
 from repro.params import MachineConfig
-from repro.prefetch.base import PrefetchCandidate
 from repro.prefetch.content import ContentPrefetcher
 from repro.prefetch.markov import MarkovPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.trace.ops import BRANCH, COMPUTE, LOAD, Trace
 
 __all__ = ["FunctionalSimulator"]
+
+_DEMAND = Requester.DEMAND
+_STRIDE = Requester.STRIDE
+_CONTENT = Requester.CONTENT
+_MARKOV = Requester.MARKOV
 
 # Per-line tracking flags (bitset line_tracking mode).
 _FLAG_STRIDE = 1
@@ -66,8 +70,22 @@ class FunctionalSimulator:
         )
         self.result = FunctionalResult("run")
         self.result.mptu_window_uops = mptu_window_uops
+        # Hot-path aliases (the hierarchy's components never change).
+        self._l1 = self.hier.l1
+        self._l2 = self.hier.l2
+        self._dtlb = self.hier.dtlb
+        self._page_table = self.hier.page_table
+        self._memory = self.hier.memory
+        self._line_size = config.line_size
         self._line_mask = line_mask(
             config.line_size, config.content.address_bits
+        )
+        self._content_enabled = config.content.enabled
+        self._content_offchip = config.content.placement == "offchip"
+        # Accounting by requester value (DEMAND maps to None).
+        self._accts = (
+            None, self.result.stride, self.result.content,
+            self.result.markov,
         )
         # Per-line tracking bits (see _FLAG_*): lines the stride
         # prefetcher has issued, the subset of content-prefetched lines
@@ -103,12 +121,14 @@ class FunctionalSimulator:
         result.name = trace.name
         measuring = warmup_uops == 0
         uops_seen = 0
-        # Hot loop: bind the per-op callees once, and skip the window
-        # bookkeeping call entirely when no MPTU window is configured
-        # (the common case for coverage/accuracy sweeps).
+        # Hot loop: bind the per-op callees once, probe the L1 here (most
+        # accesses hit), and skip the window bookkeeping call entirely
+        # when no MPTU window is configured (the common case for
+        # coverage/accuracy sweeps).
         windowed = bool(result.mptu_window_uops)
         tick = self._tick_window
-        access = self._access
+        l1_lookup = self._l1.lookup
+        miss = self._miss
         for op in trace.ops:
             kind = op[0]
             if kind == COMPUTE:
@@ -123,10 +143,10 @@ class FunctionalSimulator:
                 uops_seen += 1
                 if windowed:
                     tick(1, measuring)
-                is_load = kind == LOAD
-                access(op[1], op[2], is_load, measuring)
+                if l1_lookup(op[1]) is None:
+                    miss(op[1], op[2], measuring)
                 if measuring:
-                    if is_load:
+                    if kind == LOAD:
                         result.loads += 1
                     else:
                         result.stores += 1
@@ -134,7 +154,7 @@ class FunctionalSimulator:
                 measuring = True
         result.uops = max(0, trace.uop_count - warmup_uops)
         result.instructions = trace.instruction_count
-        result.tlb_misses = self.hier.dtlb.stats.misses
+        result.tlb_misses = self._dtlb.stats.misses
         return result
 
     def _flag_index(self, line_p: int) -> int:
@@ -165,163 +185,171 @@ class FunctionalSimulator:
 
     # ------------------------------------------------------------------
 
-    def _access(self, vaddr: int, pc: int, is_load: bool, measuring: bool) -> None:
+    def _miss(self, vaddr: int, pc: int, measuring: bool) -> None:
+        """One L1 miss: observe, translate, then hit or fill the UL2."""
         result = self.result
-        if self.hier.l1.lookup(vaddr) is not None:
-            return
         if measuring:
             result.demand_l1_misses += 1
         stride_candidates = self.stride.observe(pc, vaddr)
-        translation = self.hier.translate(vaddr)
-        paddr = translation.paddr
-        for candidate in stride_candidates:
-            self._prefetch(candidate, Requester.STRIDE, measuring)
+        # Translate through the DTLB, walking the page table on a miss.
+        dtlb = self._dtlb
+        paddr = dtlb.translate(vaddr)
+        if paddr is None:
+            paddr = self._page_table.translate(vaddr)
+            dtlb.insert(vaddr, paddr)
+        if stride_candidates:
+            self._issue(stride_candidates, _STRIDE, measuring)
         if measuring:
             result.l2_requests += 1
-        line = self.hier.l2.lookup(paddr)
-        line_v = vaddr & self._line_mask
+        line_mask = self._line_mask
+        line_p = paddr & line_mask
+        line_v = vaddr & line_mask
+        l2 = self._l2
+        line = l2.lookup(paddr)
         if line is not None:
-            self._demand_hit(line, paddr, vaddr, measuring)
+            requester = line.requester
+            if requester is not _DEMAND and not line.referenced and measuring:
+                if self._use_sets:
+                    counted = line_p in self._counted_fills
+                    overlap = line_p in self._content_overlap
+                    if counted:
+                        self._counted_fills.discard(line_p)
+                else:
+                    index = self._flag_index(line_p)
+                    flags = self._line_flags[index]
+                    counted = flags & _FLAG_COUNTED
+                    overlap = flags & _FLAG_OVERLAP
+                    if counted:
+                        self._line_flags[index] = flags ^ _FLAG_COUNTED
+                if counted:
+                    self._accts[requester].full_hits += 1
+                    if requester is _CONTENT and overlap:
+                        result.content_useful_overlap += 1
+            depth = line.depth
+            rescan = self.content.should_rescan(depth, 0)
+            # CacheLine.promote(0, DEMAND), inline.
+            if depth > 0:
+                line.depth = 0
+            line.referenced = True
+            if rescan:
+                self._scan(line.vaddr, vaddr, 0, measuring)
         else:
             if measuring:
                 result.demand_l2_misses += 1
                 self._window_misses += 1
             if self._use_sets:
-                self._counted_fills.discard(paddr & self._line_mask)
+                self._counted_fills.discard(line_p)
             else:
-                index = self._flag_index(paddr & self._line_mask)
-                self._line_flags[index] &= ~_FLAG_COUNTED
-            self.hier.l2.fill(paddr, vaddr=line_v, requester=Requester.DEMAND)
+                self._line_flags[self._flag_index(line_p)] &= ~_FLAG_COUNTED
+            l2.fill(paddr, line_v)
             if self.markov is not None:
-                for candidate in self.markov.observe_miss(
+                markov_candidates = self.markov.observe_miss(
                     vaddr, bool(stride_candidates)
-                ):
-                    self._prefetch(candidate, Requester.MARKOV, measuring)
-            self._scan(line_v, vaddr, depth=0, measuring=measuring)
-        self.hier.l1.fill(vaddr, vaddr=line_v)
-
-    def _demand_hit(
-        self, line, paddr: int, vaddr: int, measuring: bool
-    ) -> None:
-        line_p = paddr & self._line_mask
-        if line.was_prefetched and not line.referenced and measuring:
-            if self._use_sets:
-                counted = line_p in self._counted_fills
-                overlap = line_p in self._content_overlap
-                if counted:
-                    self._counted_fills.discard(line_p)
-            else:
-                index = self._flag_index(line_p)
-                flags = self._line_flags[index]
-                counted = flags & _FLAG_COUNTED
-                overlap = flags & _FLAG_OVERLAP
-                if counted:
-                    self._line_flags[index] = flags ^ _FLAG_COUNTED
-            if counted:
-                acct = self._accounting(line.requester)
-                acct.full_hits += 1
-                if line.requester is Requester.CONTENT and overlap:
-                    self.result.content_useful_overlap += 1
-        rescan = self.content.should_rescan(line.depth, 0)
-        line.promote(0, Requester.DEMAND)
-        if rescan:
-            self._scan(line.vaddr, vaddr, depth=0, measuring=measuring)
-
-    def _accounting(self, requester: Requester):
-        if requester is Requester.STRIDE:
-            return self.result.stride
-        if requester is Requester.MARKOV:
-            return self.result.markov
-        return self.result.content
+                )
+                if markov_candidates:
+                    self._issue(markov_candidates, _MARKOV, measuring)
+            self._scan(line_v, vaddr, 0, measuring)
+        self._l1.fill(vaddr, line_v)
 
     # ------------------------------------------------------------------
 
-    def _prefetch(
-        self, candidate: PrefetchCandidate, requester: Requester,
-        measuring: bool,
+    def _issue(
+        self, candidates, requester: Requester, measuring: bool,
     ) -> None:
-        acct = self._accounting(requester)
-        line_v = candidate.vaddr & self._line_mask
-        paddr = self.hier.dtlb.peek(candidate.vaddr)
-        if paddr is None:
-            if (
-                requester is Requester.CONTENT
-                and self.config.content.placement == "offchip"
-            ):
-                acct.dropped_untranslated += 1
-                return
-            if not self.hier.page_table.is_mapped(candidate.vaddr):
-                if measuring:
-                    acct.dropped_unmapped += 1
-                return
-            translation = self.hier.translate(candidate.vaddr)
-            paddr = translation.paddr
-            if measuring:
-                self.result.prefetch_page_walks += 1
-        line_p = paddr & self._line_mask
+        """Fill one prefetcher's candidates, in order, at once.
+
+        A content prefetch fill is scanned as it lands, so its own
+        candidates fill before the next one here.
+        """
+        acct = self._accts[requester]
+        result = self.result
+        dtlb = self._dtlb
+        page_table = self._page_table
+        l2 = self._l2
+        line_mask = self._line_mask
         use_sets = self._use_sets
-        if requester is Requester.STRIDE:
+        is_stride = requester is _STRIDE
+        is_content = requester is _CONTENT
+        # Off-chip placement has no DTLB access (Section 3.2).
+        drop_untranslated = is_content and self._content_offchip
+        for vaddr, depth, _, _ in candidates:
+            paddr = dtlb.peek(vaddr)
+            if paddr is None:
+                if drop_untranslated:
+                    acct.dropped_untranslated += 1
+                    continue
+                if not page_table.is_mapped(vaddr):
+                    if measuring:
+                        acct.dropped_unmapped += 1
+                    continue
+                # The walk: a counted DTLB miss, then the page table.
+                dtlb.translate(vaddr)
+                paddr = page_table.translate(vaddr)
+                dtlb.insert(vaddr, paddr)
+                if measuring:
+                    result.prefetch_page_walks += 1
+            line_p = paddr & line_mask
+            if is_stride:
+                if use_sets:
+                    self._stride_lines.add(line_p)
+                else:
+                    self._line_flags[self._flag_index(line_p)] |= _FLAG_STRIDE
+            resident = l2.peek(line_p)
+            if resident is not None:
+                if self.content.should_rescan(resident.depth, depth):
+                    resident.promote(depth, requester)
+                    self._scan(resident.vaddr, vaddr, depth, measuring)
+                acct.dropped_resident += 1
+                continue
             if use_sets:
-                self._stride_lines.add(line_p)
-            else:
-                self._line_flags[self._flag_index(line_p)] |= _FLAG_STRIDE
-        resident = self.hier.l2.peek(line_p)
-        if resident is not None:
-            if self.content.should_rescan(resident.depth, candidate.depth):
-                resident.promote(candidate.depth, requester)
-                self._scan(
-                    resident.vaddr, candidate.vaddr, candidate.depth,
-                    measuring,
-                )
-            acct.dropped_resident += 1
-            return
-        if use_sets:
-            if measuring:
-                acct.issued += 1
-                self._counted_fills.add(line_p)
-            else:
-                self._counted_fills.discard(line_p)
-            if requester is Requester.CONTENT:
-                if line_p in self._stride_lines:
-                    self._content_overlap.add(line_p)
-                    if measuring:
-                        self.result.content_issued_overlap += 1
+                if measuring:
+                    acct.issued += 1
+                    self._counted_fills.add(line_p)
                 else:
-                    self._content_overlap.discard(line_p)
-        else:
-            index = self._flag_index(line_p)
-            flags = self._line_flags[index]
-            if measuring:
-                acct.issued += 1
-                flags |= _FLAG_COUNTED
+                    self._counted_fills.discard(line_p)
+                if is_content:
+                    if line_p in self._stride_lines:
+                        self._content_overlap.add(line_p)
+                        if measuring:
+                            result.content_issued_overlap += 1
+                    else:
+                        self._content_overlap.discard(line_p)
             else:
-                flags &= ~_FLAG_COUNTED
-            if requester is Requester.CONTENT:
-                if flags & _FLAG_STRIDE:
-                    flags |= _FLAG_OVERLAP
-                    if measuring:
-                        self.result.content_issued_overlap += 1
+                index = self._flag_index(line_p)
+                flags = self._line_flags[index]
+                if measuring:
+                    acct.issued += 1
+                    flags |= _FLAG_COUNTED
                 else:
-                    flags &= ~_FLAG_OVERLAP
-            self._line_flags[index] = flags
-        self.hier.l2.fill(
-            line_p,
-            vaddr=line_v,
-            requester=requester,
-            depth=self.content.clamp_depth(candidate.depth),
-        )
-        # Prefetch fills are themselves scanned (the recurrence component).
-        if requester is Requester.CONTENT:
-            self._scan(line_v, candidate.vaddr, candidate.depth, measuring)
+                    flags &= ~_FLAG_COUNTED
+                if is_content:
+                    if flags & _FLAG_STRIDE:
+                        flags |= _FLAG_OVERLAP
+                        if measuring:
+                            result.content_issued_overlap += 1
+                    else:
+                        flags &= ~_FLAG_OVERLAP
+                self._line_flags[index] = flags
+            line_v = vaddr & line_mask
+            l2.fill(
+                line_p, line_v, requester, self.content.clamp_depth(depth)
+            )
+            # Prefetch fills are themselves scanned (the recurrence
+            # component).
+            if is_content:
+                self._scan(line_v, vaddr, depth, measuring)
 
     def _scan(
         self, line_vaddr: int, effective_vaddr: int, depth: int,
         measuring: bool,
     ) -> None:
-        if not self.config.content.enabled:
+        if not self._content_enabled:
             return
-        line_bytes = self.hier.read_line_bytes(line_vaddr)
-        for candidate in self.content.scan_fill(
-            line_vaddr, line_bytes, effective_vaddr, depth
-        ):
-            self._prefetch(candidate, Requester.CONTENT, measuring)
+        candidates = self.content.scan_fill(
+            line_vaddr,
+            self._memory.read_line(line_vaddr, self._line_size),
+            effective_vaddr,
+            depth,
+        )
+        if candidates:
+            self._issue(candidates, _CONTENT, measuring)

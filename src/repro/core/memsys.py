@@ -30,12 +30,11 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.line import Requester
 from repro.cache.mshr import MissStatus, MSHRFile
 from repro.cache.prefetchbuffer import PrefetchBuffer
-from repro.core.results import PrefetchAccounting, TimingResult
+from repro.core.results import TimingResult
 from repro.interconnect.arbiter import MemoryRequest, PriorityArbiter
 from repro.interconnect.bus import Bus, L2Port
 from repro.memory.address import line_mask
 from repro.params import BusConfig, MachineConfig
-from repro.prefetch.base import PrefetchCandidate
 from repro.prefetch.content import ContentPrefetcher
 from repro.snapshot.hooks import canonical_heap
 from repro.prefetch.markov import MarkovPrefetcher
@@ -45,6 +44,12 @@ __all__ = ["TimingMemorySystem"]
 
 _EV_FILL = 0
 _EV_BUS = 1
+
+# Hot-path aliases: enum member lookups are class-attribute accesses.
+_DEMAND = Requester.DEMAND
+_STRIDE = Requester.STRIDE
+_CONTENT = Requester.CONTENT
+_MARKOV = Requester.MARKOV
 
 # A fill_time of -1 marks an in-flight entry still queued at the bus
 # arbiter (not yet granted).
@@ -78,12 +83,17 @@ class TimingMemorySystem:
         self._l1 = hierarchy.l1
         self._l2 = hierarchy.l2
         self._dtlb = hierarchy.dtlb
+        self._memory = hierarchy.memory
+        self._line_size = config.line_size
         self._l1_latency = hierarchy.l1.config.latency
         self._l2_latency = hierarchy.l2.config.latency
+        self._l1_l2_latency = self._l1_latency + self._l2_latency
+        # Accounting by requester value (DEMAND maps to None).
         self._accts = (
             None, self.result.stride, self.result.content, self.result.markov,
         )
-        # Static content-policy knobs consulted on every prefetch issue.
+        # Static content-policy knobs consulted on every fill and issue.
+        self._content_enabled = config.content.enabled
         self._content_offchip = config.content.placement == "offchip"
         self._reinforcement = config.content.reinforcement
         self.bus = Bus(config.bus, line_size=config.line_size)
@@ -102,11 +112,13 @@ class TimingMemorySystem:
         # Explicit event tie-break counter (not itertools.count) so
         # snapshots capture and restore the exact posting sequence.
         self._seq = 0
-        # Event-drain implementation (see set_drain_mode); the bound
-        # method is cached as an instance attribute because _advance is
-        # called once per demand access.
+        # Event-drain implementation (see set_drain_mode), held as a plain
+        # function and called as ``self._drain(self, time)``.  A bound
+        # method stored on the instance would be a reference cycle
+        # (self -> method -> self) that keeps a finished memory system and
+        # its whole hierarchy alive until the cyclic GC happens to run.
         self.drain_mode = "batched"
-        self._advance = self._advance_batched
+        self._drain = _DRAINS["batched"]
         self._bus_service_pending = False
         self._line_mask = line_mask(
             config.line_size, config.content.address_bits
@@ -164,12 +176,13 @@ class TimingMemorySystem:
         self._seq = seq + 1
         heapq.heappush(self._events, (time, seq, kind, payload))
 
-    def _grant_bus(self, time: int) -> tuple:
-        """Grant a bus transfer, applying any injected grant fault."""
-        grant, fill = self.bus.grant(time)
+    def _grant_bus(self, time: int) -> int:
+        """Grant a bus transfer; returns its fill time, applying any
+        injected grant fault."""
+        fill = self.bus.grant(time)[1]
         if self.faults is not None:
             fill += self.faults.bus_grant_penalty()
-        return grant, fill
+        return fill
 
     def _advance_batched(self, time: int) -> None:
         """Batched event drain: dispatch same-timestamp runs in one pass.
@@ -228,22 +241,19 @@ class TimingMemorySystem:
         :meth:`state_dict` — a snapshot taken under either drain resumes
         under either.
         """
-        if mode not in ("batched", "reference"):
+        if mode not in _DRAINS:
             raise ValueError("unknown drain mode: %r" % mode)
         self.drain_mode = mode
-        self._advance = (
-            self._advance_batched if mode == "batched"
-            else self._advance_reference
-        )
+        self._drain = _DRAINS[mode]
 
     def advance_to(self, time: int) -> None:
         """Process all memory-system events up to *time*."""
-        self._advance(time)
+        self._drain(self, time)
 
     def drain(self) -> int:
         """Run all outstanding events; returns the final event time."""
         while self._events:
-            self._advance(self._events[0][0])
+            self._drain(self, self._events[0][0])
         return self.now
 
     # ------------------------------------------------------------------
@@ -252,103 +262,173 @@ class TimingMemorySystem:
 
     def load(self, vaddr: int, pc: int, time: int) -> int:
         """Execute a demand load at cycle *time*; returns its latency."""
-        return self._demand_access(vaddr, pc, time, is_load=True)
-
-    def store(self, vaddr: int, pc: int, time: int) -> int:
-        """Execute a demand store (write-allocate); returns fill latency."""
-        return self._demand_access(vaddr, pc, time, is_load=False)
-
-    def _demand_access(
-        self, vaddr: int, pc: int, time: int, is_load: bool
-    ) -> int:
-        # Inline the no-pending-events fast path of _advance: most demand
-        # accesses find nothing due, and both drain implementations reduce
-        # to exactly this clock bump in that case.
+        # Inline the no-pending-events fast path of the drain: most
+        # demand accesses find nothing due, and both drain implementations
+        # reduce to exactly this clock bump in that case.
         events = self._events
         if events and events[0][0] <= time:
-            self._advance(time)
+            self._drain(self, time)
         elif time > self.now:
             self.now = time
         if self.inject_pollution:
             self._maybe_inject_pollution(time)
-        l1 = self._l1
-        if l1.lookup(vaddr) is not None:
-            if not is_load:
-                # Stores that hit the L1 dirty the L2 copy too (the model
-                # has no separate L1 writeback path).
-                paddr = self._dtlb.peek(vaddr)
-                if paddr is not None:
-                    resident = self._l2.peek(paddr & self._line_mask)
-                    if resident is not None:
-                        resident.dirty = True
-            return l1.config.latency
+        if self._l1.lookup(vaddr) is not None:
+            return self._l1_latency
+        return self._miss(vaddr, pc, time, True)
+
+    def store(self, vaddr: int, pc: int, time: int) -> int:
+        """Execute a demand store (write-allocate); returns fill latency."""
+        events = self._events
+        if events and events[0][0] <= time:
+            self._drain(self, time)
+        elif time > self.now:
+            self.now = time
+        if self.inject_pollution:
+            self._maybe_inject_pollution(time)
+        if self._l1.lookup(vaddr) is not None:
+            # Stores that hit the L1 dirty the L2 copy too (the model has
+            # no separate L1 writeback path).
+            paddr = self._dtlb.peek(vaddr)
+            if paddr is not None:
+                resident = self._l2.peek(paddr & self._line_mask)
+                if resident is not None:
+                    resident.dirty = True
+            return self._l1_latency
+        return self._miss(vaddr, pc, time, False)
+
+    def _miss(self, vaddr: int, pc: int, time: int, is_load: bool) -> int:
+        """One L1 miss, start to finish; returns the access latency.
+
+        In order: the stride prefetcher observes the miss, the DTLB
+        translates it (walking on a miss), the stride candidates issue,
+        and one UL2 port slot is reserved.  The line is then a UL2 hit, a
+        prefetch-buffer hit, a match of an in-flight fill, or a UL2 miss;
+        every case but the buffer hit is handled here.
+        """
         result = self.result
         result.demand_l1_misses += 1
         # The stride prefetcher monitors all L1 miss traffic (Figure 6).
         stride_candidates = self.stride.observe(pc, vaddr)
         # Translation: the L2 is physically indexed.
-        walk_latency = 0
+        dtlb = self._dtlb
         if self.faults is not None:
-            self.faults.pre_translation(self._dtlb, vaddr)
-        paddr = self._dtlb.translate(vaddr)
+            self.faults.pre_translation(dtlb, vaddr)
+        paddr = dtlb.translate(vaddr)
+        t_l2 = time
         if paddr is None:
             result.demand_page_walks += 1
-            walk_latency, paddr = self._page_walk(vaddr, time, prefetch=False)
-        for candidate in stride_candidates:
-            self._issue_prefetch(candidate, Requester.STRIDE, time)
-        t_l2 = time + walk_latency
+            walk_latency, paddr = self._page_walk(vaddr, time, False)
+            t_l2 += walk_latency
+        if stride_candidates:
+            self._issue(stride_candidates, _STRIDE, time)
         result.demand_l2_requests += 1
         line_p = paddr & self._line_mask
-        line_v = vaddr & self._line_mask
-        slot = self.l2_port.reserve(t_l2)
+        # L2Port.reserve, inline.
+        port = self.l2_port
+        slot = port.next_free
+        if t_l2 > slot:
+            slot = t_l2
+        port.next_free = slot + port.cycles_per_access
+        port.accesses += 1
+
         line = self._l2.lookup(paddr)
         if line is not None:
-            return self._demand_l2_hit(
-                line, line_p, vaddr, time, slot, is_load
-            )
+            requester = line.requester
+            if is_load and requester is not _DEMAND and not line.referenced:
+                # A demand access found a prefetched line resident: the
+                # prefetch fully masked the would-be miss.
+                acct = self._accts[requester]
+                acct.full_hits += 1
+                if line.kind:
+                    acct.record_useful_kind(line.kind)
+                if self.observer is not None:
+                    self.observer.on_prefetch_hit(line_p, time, full=True)
+                if self.adaptive is not None and requester is _CONTENT:
+                    self.adaptive.record_outcome(True)
+            depth = line.depth
+            rescan = self.content.should_rescan(depth, 0)
+            # CacheLine.promote(0, DEMAND), inline.
+            if depth > 0:
+                line.depth = 0
+            line.referenced = True
+            if not is_load:
+                line.dirty = True
+            if rescan:
+                self._rescan(line.vaddr, vaddr, 0, slot)
+            self._l1.fill(vaddr, vaddr & self._line_mask)
+            return (slot - time) + self._l1_l2_latency
+
         if self.prefetch_buffer is not None:
             buffered = self.prefetch_buffer.promote(line_p)
             if buffered is not None:
                 return self._demand_buffer_hit(
                     buffered, line_p, vaddr, time, slot, is_load
                 )
+
         status = self.mshr.lookup(line_p)
         if status is not None:
-            return self._demand_mshr_hit(status, time, slot, is_load)
-        return self._demand_l2_miss(
-            line_p, line_v, vaddr, pc, time, slot,
-            bool(stride_candidates), is_load,
-        )
-
-    def _demand_l2_hit(
-        self, line, line_p: int, vaddr: int, time: int, slot: int,
-        is_load: bool,
-    ) -> int:
-        latency = (slot - time) + self._l1_latency + self._l2_latency
-        if (
-            is_load
-            and line.requester is not Requester.DEMAND
-            and not line.referenced
-        ):
-            # A demand access found a prefetched line resident: the
-            # prefetch fully masked the would-be miss.
-            acct = self._accounting(line.requester)
-            if acct is not None:
-                acct.full_hits += 1
-                if line.kind:
-                    acct.record_useful_kind(line.kind)
+            # The line is already in flight.
+            first_match = status.demand_waiters == 0
+            status.demand_waiters += 1
+            requester = status.requester
+            was_prefetch = requester is not _DEMAND
+            if was_prefetch and not status.promoted:
+                # The in-flight prefetch is promoted to demand priority;
+                # the depth reset (which keeps the chain alive when the
+                # fill is scanned) is part of the path-reinforcement
+                # mechanism of Figure 3 and is gated accordingly.
+                status.promoted = True
+                if self._reinforcement:
+                    status.depth = 0
+            fill_time = status.fill_time
+            if fill_time == _NOT_GRANTED:
+                # Still queued at the bus arbiter: the demand claims the
+                # bus itself (top priority); the queued prefetch earned
+                # nothing.
+                fill = self._grant_bus(slot)
+                status.fill_time = fill
+                self._post(fill, _EV_FILL, status)
+                if is_load and first_match:
+                    result.unmasked_l2_misses += 1
+                return (fill - time) + self._l1_latency
+            # Granted and in flight: wait for the scheduled fill — a
+            # partially masked miss if the original request was a
+            # prefetch.
+            wait = fill_time - slot
+            if wait < 0:
+                wait = 0
+            if is_load and first_match and was_prefetch:
+                acct = self._accts[requester]
+                acct.partial_hits += 1
+                kind = status.extra.get("kind", "")
+                if kind:
+                    acct.record_useful_kind(kind)
                 if self.observer is not None:
-                    self.observer.on_prefetch_hit(line_p, time, full=True)
-                if self.adaptive is not None and line.requester is Requester.CONTENT:
+                    self.observer.on_prefetch_hit(line_p, slot, full=False)
+                if self.adaptive is not None and requester is _CONTENT:
                     self.adaptive.record_outcome(True)
-        rescan = self.content.should_rescan(line.depth, 0)
-        line.promote(0, Requester.DEMAND)
+            return (slot - time) + self._l1_latency + wait
+
+        # UL2 miss: the demand claims the bus at once.
+        if is_load:
+            result.unmasked_l2_misses += 1
+        fill = self._grant_bus(slot)
+        extra = {"eff_vaddr": vaddr, "fill_l1": True}
         if not is_load:
-            line.dirty = True
-        if rescan:
-            self._rescan(line.vaddr, line_p, vaddr, depth=0, time=slot)
-        self._l1.fill(vaddr, vaddr=vaddr & self._line_mask)
-        return latency
+            extra["dirty"] = True
+        status = MissStatus(
+            line_p, vaddr & self._line_mask, _DEMAND, 0, slot, fill,
+            0, False, extra,
+        )
+        self.mshr.allocate(status)
+        self._post(fill, _EV_FILL, status)
+        if self.markov is not None:
+            markov_candidates = self.markov.observe_miss(
+                vaddr, bool(stride_candidates)
+            )
+            if markov_candidates:
+                self._issue(markov_candidates, _MARKOV, time)
+        return (fill - time) + self._l1_latency
 
     def _demand_buffer_hit(
         self, buffered, line_p: int, vaddr: int, time: int, slot: int,
@@ -360,104 +440,34 @@ class TimingMemorySystem:
         latency — the buffer sits beside the cache.
         """
         transfer_slot = self.l2_port.reserve(slot)
-        latency = (
-            (transfer_slot - time) + self._l1_latency
-            + self._l2_latency
-        )
+        latency = (transfer_slot - time) + self._l1_l2_latency
         if is_load:
-            acct = self._accounting(buffered.requester)
-            if acct is not None:
-                acct.full_hits += 1
-                if buffered.kind:
-                    acct.record_useful_kind(buffered.kind)
-                if self.observer is not None:
-                    self.observer.on_prefetch_hit(
-                        line_p, transfer_slot, full=True
-                    )
+            acct = self._accts[buffered.requester]
+            acct.full_hits += 1
+            if buffered.kind:
+                acct.record_useful_kind(buffered.kind)
+            if self.observer is not None:
+                self.observer.on_prefetch_hit(
+                    line_p, transfer_slot, full=True
+                )
         victim = self._l2.fill(
-            line_p, vaddr=buffered.vaddr, requester=buffered.requester,
-            depth=buffered.depth, time=transfer_slot, kind=buffered.kind,
+            line_p, buffered.vaddr, buffered.requester, buffered.depth,
+            transfer_slot, buffered.kind,
         )
         resident = self._l2.peek(line_p)
         if resident is not None:
             rescan = self.content.should_rescan(resident.depth, 0)
-            resident.promote(0, Requester.DEMAND)
+            resident.promote(0, _DEMAND)
             if not is_load:
                 resident.dirty = True
             if rescan:
-                self._rescan(
-                    resident.vaddr, line_p, vaddr, depth=0,
-                    time=transfer_slot,
-                )
-        self._write_back(victim, transfer_slot)
-        self._l1.fill(vaddr, vaddr=vaddr & self._line_mask)
+                self._rescan(resident.vaddr, vaddr, 0, transfer_slot)
+        if victim is not None and victim.dirty:
+            # Write the dirty victim back (bus occupancy only).
+            self.bus.grant(transfer_slot)
+            self.result.writebacks += 1
+        self._l1.fill(vaddr, vaddr & self._line_mask)
         return latency
-
-    def _demand_mshr_hit(
-        self, status: MissStatus, time: int, slot: int, is_load: bool
-    ) -> int:
-        first_match = status.demand_waiters == 0
-        was_prefetch = status.requester is not Requester.DEMAND
-        if was_prefetch:
-            # The in-flight prefetch is promoted to demand priority; the
-            # depth reset (which keeps the chain alive when the fill is
-            # scanned) is part of the path-reinforcement mechanism of
-            # Figure 3 and is gated accordingly.
-            status.demand_waiters += 1
-            if not status.promoted:
-                status.promoted = True
-                if self._reinforcement:
-                    status.depth = 0
-        else:
-            status.demand_waiters += 1
-        if status.fill_time == _NOT_GRANTED:
-            # Still queued at the bus arbiter: the demand claims the bus
-            # itself (top priority); the queued prefetch earned nothing.
-            grant, fill = self._grant_bus(slot)
-            status.fill_time = fill
-            self._post(fill, _EV_FILL, status)
-            if is_load and first_match:
-                self.result.unmasked_l2_misses += 1
-            return (fill - time) + self._l1_latency
-        # Granted and in flight: wait for the scheduled fill — a partially
-        # masked miss if the original request was a prefetch.
-        wait = max(0, status.fill_time - slot)
-        if is_load and first_match and was_prefetch:
-            acct = self._accounting(status.requester)
-            if acct is not None:
-                acct.partial_hits += 1
-                kind = status.extra.get("kind", "")
-                if kind:
-                    acct.record_useful_kind(kind)
-                if self.observer is not None:
-                    self.observer.on_prefetch_hit(
-                        status.line_paddr, slot, full=False
-                    )
-                if self.adaptive is not None and status.requester is Requester.CONTENT:
-                    self.adaptive.record_outcome(True)
-        return (slot - time) + self._l1_latency + wait
-
-    def _demand_l2_miss(
-        self, line_p: int, line_v: int, vaddr: int, pc: int,
-        time: int, slot: int, stride_covered: bool, is_load: bool,
-    ) -> int:
-        if is_load:
-            self.result.unmasked_l2_misses += 1
-        grant, fill = self._grant_bus(slot)
-        status = MissStatus(
-            line_p, line_v, Requester.DEMAND, depth=0,
-            issue_time=slot, fill_time=fill,
-        )
-        status.extra["eff_vaddr"] = vaddr
-        status.extra["fill_l1"] = True
-        if not is_load:
-            status.extra["dirty"] = True
-        self.mshr.allocate(status)
-        self._post(fill, _EV_FILL, status)
-        if self.markov is not None:
-            for candidate in self.markov.observe_miss(vaddr, stride_covered):
-                self._issue_prefetch(candidate, Requester.MARKOV, time)
-        return (fill - time) + self._l1_latency
 
     def _maybe_inject_pollution(self, time: int) -> None:
         """Inject a bad prefetch on an idle bus (the Section 3.5 study)."""
@@ -474,11 +484,9 @@ class TimingMemorySystem:
             return
         _, fill = self.bus.grant(time)
         status = MissStatus(
-            line, line, Requester.CONTENT,
-            depth=self.config.content.depth_threshold,
-            issue_time=time, fill_time=fill,
+            line, line, _CONTENT, self.config.content.depth_threshold,
+            time, fill, 0, False, {"pollution": True},
         )
-        status.extra["pollution"] = True
         self.mshr.allocate(status)
         self._post(fill, _EV_FILL, status)
         self.pollution_fills += 1
@@ -496,26 +504,25 @@ class TimingMemorySystem:
         prefetcher's scanner (Section 3.5).
         """
         table = self.hier.page_table
+        l2 = self._l2
         paddr = table.translate(vaddr)
         latency = 0
         for walk_addr in table.walk_addresses(vaddr):
             walk_line = walk_addr & self._line_mask
             slot = self.l2_port.reserve(time + latency)
-            if self.hier.l2.peek(walk_line) is not None:
-                latency = (slot - time) + self.hier.l2.config.latency
+            if l2.peek(walk_line) is not None:
+                latency = (slot - time) + self._l2_latency
             elif prefetch:
                 # Speculative walks yield to demand traffic: the PT read
                 # pays the full memory latency but does not claim a bus
                 # slot ahead of demand fills (it drains in arbiter slack).
                 latency = (slot - time) + self.bus.latency
-                self.hier.l2.fill(
-                    walk_line, vaddr=walk_line, time=slot + self.bus.latency
-                )
+                l2.fill(walk_line, walk_line, time=slot + self.bus.latency)
             else:
-                grant, fill = self._grant_bus(slot)
+                fill = self._grant_bus(slot)
                 latency = fill - time
-                self.hier.l2.fill(walk_line, vaddr=walk_line, time=fill)
-        self.hier.dtlb.insert(vaddr, paddr, prefetch=prefetch)
+                l2.fill(walk_line, walk_line, time=fill)
+        self._dtlb.insert(vaddr, paddr, prefetch=prefetch)
         if prefetch:
             self.result.prefetch_page_walks += 1
         return latency, paddr
@@ -524,101 +531,104 @@ class TimingMemorySystem:
     # prefetch path
     # ------------------------------------------------------------------
 
-    def _accounting(self, requester: Requester) -> PrefetchAccounting | None:
-        # Requester values are 0..3 in arbiter priority order; index the
-        # fixed tuple built at construction (DEMAND maps to None).
-        return self._accts[requester]
+    def _issue(self, candidates, requester: Requester, time: int) -> None:
+        """Issue one prefetcher's candidates, in order, at cycle *time*.
 
-    def _issue_prefetch(
-        self, candidate: PrefetchCandidate, requester: Requester, time: int
-    ) -> None:
+        A candidate is dropped when it cannot be translated, when its
+        line is resident (a shallower request reinforces the line), or
+        when the line is already in flight; it is squashed when no MSHR
+        or arbiter entry is free.  Otherwise it queues at the bus arbiter
+        with an in-flight MSHR entry.  A reinforcement rescan issues its
+        own candidates before the next one here, as a nested batch.
+        """
         acct = self._accts[requester]
-        # Translate the candidate virtual address.
-        paddr = self._dtlb.peek(candidate.vaddr)
-        if paddr is None:
-            if requester is Requester.CONTENT and self._content_offchip:
-                # Off-chip placement has no DTLB access (Section 3.2).
-                acct.dropped_untranslated += 1
-                return
-            if not self.hier.page_table.is_mapped(candidate.vaddr):
-                # The walk would find no valid PTE: a junk candidate into
-                # unmapped space.  Hardware drops the prefetch (demand
-                # accesses fault pages in; speculative ones cannot).
-                acct.dropped_unmapped += 1
-                return
-            self.result.prefetch_walk_required += 1
-            walk_latency, paddr = self._page_walk(
-                candidate.vaddr, time, prefetch=True
-            )
-            time += walk_latency
-        line_p = paddr & self._line_mask
-        line_v = candidate.vaddr & self._line_mask
-        if (
-            self.prefetch_buffer is not None
-            and line_p in self.prefetch_buffer
-        ):
-            acct.dropped_resident += 1
-            return
-        # Already resident: drop, but a lower-depth touch reinforces.
-        resident = self._l2.peek(line_p)
-        if resident is not None:
-            if self.content.should_rescan(resident.depth, candidate.depth):
-                resident.promote(candidate.depth, requester)
-                self._rescan(
-                    resident.vaddr, line_p, candidate.vaddr,
-                    depth=candidate.depth, time=time,
+        dtlb_peek = self._dtlb.peek
+        l2_peek = self._l2.peek
+        mshr = self.mshr
+        buffer = self.prefetch_buffer
+        pool = self._request_pool
+        line_mask = self._line_mask
+        # Off-chip placement has no DTLB access (Section 3.2).
+        drop_untranslated = requester is _CONTENT and self._content_offchip
+        for vaddr, depth, kind, trigger in candidates:
+            issue_time = time
+            paddr = dtlb_peek(vaddr)
+            if paddr is None:
+                if drop_untranslated:
+                    acct.dropped_untranslated += 1
+                    continue
+                if not self.hier.page_table.is_mapped(vaddr):
+                    # The walk would find no valid PTE: a junk candidate
+                    # into unmapped space.  Hardware drops the prefetch
+                    # (demand accesses fault pages in; speculative ones
+                    # cannot).
+                    acct.dropped_unmapped += 1
+                    continue
+                self.result.prefetch_walk_required += 1
+                walk_latency, paddr = self._page_walk(vaddr, time, True)
+                issue_time += walk_latency
+            line_p = paddr & line_mask
+            if buffer is not None and line_p in buffer:
+                acct.dropped_resident += 1
+                continue
+            # Already resident: drop, but a lower-depth touch reinforces.
+            resident = l2_peek(line_p)
+            if resident is not None:
+                if self.content.should_rescan(resident.depth, depth):
+                    resident.promote(depth, requester)
+                    self._rescan(resident.vaddr, vaddr, depth, issue_time)
+                acct.dropped_resident += 1
+                continue
+            # Matching transaction in flight: drop (and, with
+            # reinforcement, reset its depth — Figure 3's "prefetch mem
+            # transaction found in-flight" case).
+            status = mshr.lookup(line_p)
+            if status is not None:
+                if self._reinforcement and depth < status.depth:
+                    status.depth = depth
+                acct.dropped_inflight += 1
+                continue
+            # MSHR exhaustion (a real capacity bound, or an injected
+            # burst): the prefetch finds no free entry and is squashed.
+            # Demand misses are never refused — see MSHRFile.
+            if mshr.full or (
+                self.faults is not None
+                and self.faults.mshr_exhausted(issue_time)
+            ):
+                acct.squashed_mshr_full += 1
+                continue
+            line_v = vaddr & line_mask
+            if pool:
+                request = pool.pop()
+                request.line_paddr = line_p
+                request.line_vaddr = line_v
+                request.requester = requester
+                request.depth = depth
+                request.create_time = issue_time
+                request.pc = 0
+                request.scannable = True
+            else:
+                request = MemoryRequest(
+                    line_p, line_v, requester, depth, issue_time
                 )
-            acct.dropped_resident += 1
-            return
-        # Matching transaction in flight: drop (and, with reinforcement,
-        # reset its depth — Figure 3's "prefetch mem transaction found
-        # in-flight" case).
-        status = self.mshr.lookup(line_p)
-        if status is not None:
-            if self._reinforcement and candidate.depth < status.depth:
-                status.depth = candidate.depth
-            acct.dropped_inflight += 1
-            return
-        # MSHR exhaustion (a real capacity bound, or an injected burst):
-        # the prefetch finds no free entry and is squashed.  Demand misses
-        # are never refused — see MSHRFile.
-        if self.mshr.full or (
-            self.faults is not None and self.faults.mshr_exhausted(time)
-        ):
-            acct.squashed_mshr_full += 1
-            return
-        if self._request_pool:
-            request = self._request_pool.pop()
-            request.line_paddr = line_p
-            request.line_vaddr = line_v
-            request.requester = requester
-            request.depth = candidate.depth
-            request.create_time = time
-            request.pc = 0
-            request.scannable = True
-        else:
-            request = MemoryRequest(
-                line_p, line_v, requester, candidate.depth, create_time=time
-            )
-        if not self.bus_arbiter.enqueue(request):
-            self._request_pool.append(request)
-            acct.squashed_queue_full += 1
-            return
-        acct.issued += 1
-        acct.record_issue_kind(candidate.kind.value)
-        if self.observer is not None:
-            self.observer.on_prefetch_issue(
-                line_p, requester, candidate.depth, candidate.kind.value,
-                time,
-            )
-        status = MissStatus(
-            line_p, line_v, requester, candidate.depth,
-            issue_time=time, fill_time=_NOT_GRANTED,
-        )
-        status.extra["eff_vaddr"] = candidate.trigger_vaddr or candidate.vaddr
-        status.extra["kind"] = candidate.kind.value
-        self.mshr.allocate(status)
-        self._schedule_bus_service(time)
+            if not self.bus_arbiter.enqueue(request):
+                pool.append(request)
+                acct.squashed_queue_full += 1
+                continue
+            # The enum's ``.value`` is a Python-level property;
+            # ``_value_`` is the same string as a plain attribute.
+            kind_name = kind._value_
+            acct.issued += 1
+            acct.record_issue_kind(kind_name)
+            if self.observer is not None:
+                self.observer.on_prefetch_issue(
+                    line_p, requester, depth, kind_name, issue_time,
+                )
+            mshr.allocate(MissStatus(
+                line_p, line_v, requester, depth, issue_time, _NOT_GRANTED,
+                0, False, {"eff_vaddr": trigger or vaddr, "kind": kind_name},
+            ))
+            self._schedule_bus_service(issue_time)
 
     def _schedule_bus_service(self, time: int) -> None:
         if self._bus_service_pending:
@@ -642,7 +652,7 @@ class TimingMemorySystem:
                 # Cancelled, or a demand already claimed this line's fill.
                 continue
             break
-        grant, fill = self._grant_bus(time)
+        fill = self._grant_bus(time)
         status.fill_time = fill
         self._post(fill, _EV_FILL, status)
         if len(self.bus_arbiter):
@@ -653,92 +663,99 @@ class TimingMemorySystem:
     # ------------------------------------------------------------------
 
     def _complete_fill(self, status: MissStatus, time: int) -> None:
-        self.mshr.complete(status.line_paddr)
+        """A fill arrives: install the line, account for it, scan it."""
+        line_p = status.line_paddr
+        line_v = status.line_vaddr
         requester = status.requester
         depth = status.depth
-        if status.promoted:
-            # Promoted fills insert at demand priority; their scan depth is
-            # status.depth, which the reinforcement gating may have reset.
-            requester = Requester.DEMAND
+        promoted = status.promoted
+        extra = status.extra
+        self.mshr.complete(line_p)
+        stored_depth = self.content.clamp_depth(depth)
+        kind = extra.get("kind", "")
         if (
             self.prefetch_buffer is not None
-            and requester is not Requester.DEMAND
+            and requester is not _DEMAND
+            and not promoted
         ):
             self.prefetch_buffer.fill(
-                status.line_paddr, status.line_vaddr, requester,
-                self.content.clamp_depth(depth), time=time,
-                kind=status.extra.get("kind", ""),
+                line_p, line_v, requester, stored_depth, time, kind
             )
             victim = None
         else:
+            # Promoted fills insert at demand priority; their scan depth
+            # is status.depth, which the reinforcement gating may have
+            # reset.
             victim = self._l2.fill(
-                status.line_paddr,
-                vaddr=status.line_vaddr,
-                requester=requester,
-                depth=self.content.clamp_depth(depth),
-                time=time,
-                kind=status.extra.get("kind", ""),
+                line_p, line_v, _DEMAND if promoted else requester,
+                stored_depth, time, kind,
             )
-        if status.extra.get("dirty"):
-            resident = self._l2.peek(status.line_paddr)
+        if extra.get("dirty"):
+            resident = self._l2.peek(line_p)
             if resident is not None:
                 resident.dirty = True
-        self._write_back(victim, time)
-        if status.extra.get("pollution"):
+        if victim is not None and victim.dirty:
+            # Write the dirty victim back (bus occupancy only).
+            self.bus.grant(time)
+            self.result.writebacks += 1
+        if extra.get("pollution"):
             return
-        acct = self._accounting(status.requester)
-        if acct is not None:
-            acct.completed += 1
+        if requester is not _DEMAND:
+            self._accts[requester].completed += 1
             if self.observer is not None:
-                self.observer.on_prefetch_fill(status.line_paddr, time)
-            if self.faults is not None and not status.promoted:
+                self.observer.on_prefetch_fill(line_p, time)
+            if self.faults is not None and not promoted:
                 # Thrash strikes freshly-filled *prefetched* lines; a
                 # promoted fill is demand data and is left alone.
                 self.faults.maybe_thrash(self)
-        if status.extra.get("fill_l1") or status.promoted:
-            self._l1.fill(status.line_vaddr, vaddr=status.line_vaddr)
-        # A copy of all UL2 fill traffic goes to the content prefetcher.
-        effective = status.extra.get("eff_vaddr", status.line_vaddr)
-        self._scan(status.line_vaddr, effective, depth, time, rescan=False)
-
-    def _scan(
-        self, line_vaddr: int, effective_vaddr: int, depth: int,
-        time: int, rescan: bool,
-    ) -> None:
-        if not self.config.content.enabled:
+        if promoted or extra.get("fill_l1"):
+            self._l1.fill(line_v, line_v)
+        if not self._content_enabled:
             return
-        slot = self.l2_port.reserve(time, is_rescan=rescan)
-        line_bytes = self.hier.read_line_bytes(line_vaddr)
+        # A copy of all UL2 fill traffic goes to the content prefetcher,
+        # through one port slot (L2Port.reserve, inline).
+        effective = extra.get("eff_vaddr", line_v)
+        port = self.l2_port
+        slot = port.next_free
+        if time > slot:
+            slot = time
+        port.next_free = slot + port.cycles_per_access
+        port.accesses += 1
+        line_bytes = self._memory.read_line(line_v, self._line_size)
         if self.faults is not None:
             line_bytes = self.faults.maybe_corrupt_line(
-                line_bytes, effective_vaddr, self.config.content
+                line_bytes, effective, self.config.content
             )
         candidates = self.content.scan_fill(
-            line_vaddr, line_bytes, effective_vaddr, depth, is_rescan=rescan
+            line_v, line_bytes, effective, depth
         )
-        for candidate in candidates:
-            self._issue_prefetch(candidate, Requester.CONTENT, slot)
+        if candidates:
+            self._issue(candidates, _CONTENT, slot)
 
     def _rescan(
-        self, line_vaddr: int, line_paddr: int, effective_vaddr: int,
-        depth: int, time: int,
+        self, line_vaddr: int, effective_vaddr: int, depth: int, time: int,
     ) -> None:
         """Reinforcement rescan of a resident line (Section 3.4.2)."""
-        backlog = self.l2_port.next_free - time
-        if backlog > self._l2_queue_limit:
+        port = self.l2_port
+        if port.next_free - time > self._l2_queue_limit:
             # Rescans can flood the cache read ports; past the L2 queue
             # depth they are dropped rather than queued indefinitely.
             self.dropped_rescans += 1
             return
         self.result.rescans += 1
-        self._scan(line_vaddr, effective_vaddr, depth, time, rescan=True)
-
-    def _write_back(self, victim, time: int) -> None:
-        """Write a dirty L2 victim back to memory (bus occupancy only)."""
-        if victim is None or not victim.dirty:
+        if not self._content_enabled:
             return
-        self.bus.grant(time)
-        self.result.writebacks += 1
+        slot = port.reserve(time, is_rescan=True)
+        line_bytes = self._memory.read_line(line_vaddr, self._line_size)
+        if self.faults is not None:
+            line_bytes = self.faults.maybe_corrupt_line(
+                line_bytes, effective_vaddr, self.config.content
+            )
+        candidates = self.content.scan_fill(
+            line_vaddr, line_bytes, effective_vaddr, depth, True
+        )
+        if candidates:
+            self._issue(candidates, _CONTENT, slot)
 
     # ------------------------------------------------------------------
     # snapshot hooks
@@ -847,3 +864,10 @@ class TimingMemorySystem:
         ):
             fills = self.hier.l2.stats.prefetch_fills_by.get(requester.name, 0)
             acct.evicted_unused = max(0, fills - acct.useful)
+
+
+#: Event-drain implementations by mode (see ``set_drain_mode``).
+_DRAINS = {
+    "batched": TimingMemorySystem._advance_batched,
+    "reference": TimingMemorySystem._advance_reference,
+}

@@ -86,39 +86,40 @@ class Bus:
 
 
 class L2Port:
-    """The UL2's single access port (1-cycle throughput)."""
+    """The UL2's single access port (1-cycle throughput).
 
-    __slots__ = ("cycles_per_access", "_next_free", "accesses", "rescans")
+    ``next_free`` is a plain attribute: the timing memory system's miss
+    path reserves its slot inline (the body of :meth:`reserve`) rather
+    than through a call per L1 miss.
+    """
+
+    __slots__ = ("cycles_per_access", "next_free", "accesses", "rescans")
 
     def __init__(self, cycles_per_access: int = 1) -> None:
         self.cycles_per_access = cycles_per_access
-        self._next_free = 0
+        self.next_free = 0
         self.accesses = 0
         self.rescans = 0
 
     def reserve(self, time: int, is_rescan: bool = False) -> int:
         """Claim one access slot at or after *time*; returns the slot time."""
-        slot = max(time, self._next_free)
-        self._next_free = slot + self.cycles_per_access
+        slot = max(time, self.next_free)
+        self.next_free = slot + self.cycles_per_access
         self.accesses += 1
         if is_rescan:
             self.rescans += 1
         return slot
 
-    @property
-    def next_free(self) -> int:
-        return self._next_free
-
     # -- snapshot hooks -------------------------------------------------------
 
     def state_dict(self) -> dict:
         return {
-            "next_free": self._next_free,
+            "next_free": self.next_free,
             "accesses": self.accesses,
             "rescans": self.rescans,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._next_free = state["next_free"]
+        self.next_free = state["next_free"]
         self.accesses = state["accesses"]
         self.rescans = state["rescans"]

@@ -2,8 +2,10 @@
 
 The content prefetcher works by scanning the actual bytes of filled cache
 lines, so the simulator must keep real memory contents.  Pages are
-materialised lazily (a 64 MB heap region costs nothing until touched) and
-stored as ``bytearray`` objects keyed by virtual page number.
+materialised lazily by writes (a 64 MB heap region costs nothing until
+written) and stored as ``bytearray`` objects keyed by virtual page number.
+Reads never materialise a page: an unwritten address reads as the fill
+byte.
 
 Words are little-endian 32-bit, matching the IA-32 target of the paper.
 """
@@ -32,6 +34,14 @@ class BackingMemory:
     # -- page bookkeeping -------------------------------------------------
 
     def _page(self, address: int) -> bytearray:
+        """The page holding *address*, materialised if absent (writes only).
+
+        Reads never come through here: a read of an absent page returns
+        fill bytes and leaves the image as it was.  The image is shared
+        by every simulator built on it, and each one maps the pages it
+        holds at construction, so a read that inserted a page would change
+        the physical frames — and the results — of the runs after it.
+        """
         number = address >> self._page_shift
         page = self._pages.get(number)
         if page is None:
@@ -53,7 +63,10 @@ class BackingMemory:
     # -- byte access ------------------------------------------------------
 
     def read_byte(self, address: int) -> int:
-        return self._page(address)[address & self._offset_mask]
+        page = self._pages.get(address >> self._page_shift)
+        if page is None:
+            return self._fill_byte
+        return page[address & self._offset_mask]
 
     def write_byte(self, address: int, value: int) -> None:
         self._page(address)[address & self._offset_mask] = value & 0xFF
@@ -61,10 +74,15 @@ class BackingMemory:
     def read_bytes(self, address: int, length: int) -> bytes:
         """Read *length* bytes, handling page-boundary crossings."""
         out = bytearray()
+        pages = self._pages
         while length > 0:
             offset = address & self._offset_mask
             chunk = min(length, self.page_size - offset)
-            out += self._page(address)[offset:offset + chunk]
+            page = pages.get(address >> self._page_shift)
+            if page is None:
+                out += bytes([self._fill_byte]) * chunk
+            else:
+                out += page[offset:offset + chunk]
             address += chunk
             length -= chunk
         return bytes(out)
@@ -84,8 +102,11 @@ class BackingMemory:
         """Read a 32-bit little-endian word (may be unaligned)."""
         offset = address & self._offset_mask
         if offset <= self.page_size - _WORD_SIZE:
-            page = self._page(address)
-            return int.from_bytes(page[offset:offset + _WORD_SIZE], "little")
+            page = self._pages.get(address >> self._page_shift)
+            if page is not None:
+                return int.from_bytes(
+                    page[offset:offset + _WORD_SIZE], "little"
+                )
         return int.from_bytes(self.read_bytes(address, _WORD_SIZE), "little")
 
     def write_word(self, address: int, value: int) -> None:
@@ -93,6 +114,19 @@ class BackingMemory:
         data = (value & 0xFFFF_FFFF).to_bytes(_WORD_SIZE, "little")
         self.write_bytes(address, data)
 
-    def read_line(self, line_address: int, line_size: int = 64) -> bytes:
-        """Read one cache line of bytes starting at *line_address*."""
-        return self.read_bytes(line_address, line_size)
+    def read_line(
+        self, line_address: int, line_size: int = 64
+    ) -> bytes | bytearray:
+        """Read one cache line of bytes starting at *line_address*.
+
+        This is the scanner's read of every filled line.  A line-aligned
+        line never crosses a page, so it is one slice of one page (a
+        ``bytearray`` copy); an absent page reads as fill bytes.
+        """
+        offset = line_address & self._offset_mask
+        if offset + line_size > self.page_size:
+            return self.read_bytes(line_address, line_size)
+        page = self._pages.get(line_address >> self._page_shift)
+        if page is None:
+            return bytes([self._fill_byte]) * line_size
+        return page[offset:offset + line_size]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import enum
+import functools
 from typing import NamedTuple
 
 from repro.memory.address import ADDRESS_BITS, line_mask
 
-__all__ = ["PrefetchKind", "PrefetchCandidate"]
+__all__ = ["PrefetchKind", "PrefetchCandidate", "make_candidate"]
 
 
 class PrefetchKind(enum.Enum):
@@ -45,3 +46,9 @@ class PrefetchCandidate(NamedTuple):
         self, line_size: int = 64, address_bits: int = ADDRESS_BITS
     ) -> int:
         return self.vaddr & line_mask(line_size, address_bits)
+
+
+#: Builds a candidate from a ``(vaddr, depth, kind, trigger_vaddr)``
+#: tuple in C, skipping the NamedTuple's Python-level ``__new__``:
+#: prefetchers build one per emitted line on their hot paths.
+make_candidate = functools.partial(tuple.__new__, PrefetchCandidate)

@@ -15,13 +15,12 @@ L2 line, stored in the cache itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import dataclasses
+from dataclasses import dataclass
 
 from repro.memory.address import address_mask, line_mask
 from repro.params import ContentConfig
-from repro.prefetch.base import PrefetchCandidate, PrefetchKind
+from repro.prefetch.base import PrefetchCandidate, PrefetchKind, make_candidate
 from repro.prefetch.matcher import VirtualAddressMatcher
 from repro.snapshot.hooks import dataclass_state, load_dataclass_state
 
@@ -58,6 +57,7 @@ class ContentPrefetcher:
         "_rescan_margin",
         "_prev_lines",
         "_next_lines",
+        "_max_depth",
     )
 
     def __init__(self, config: ContentConfig, line_size: int = 64) -> None:
@@ -85,6 +85,8 @@ class ContentPrefetcher:
         self._rescan_margin = config.rescan_margin
         self._prev_lines = config.prev_lines
         self._next_lines = config.next_lines
+        # The deepest depth the per-line bits can encode.
+        self._max_depth = (1 << self.depth_bits) - 1
 
     # -- depth bookkeeping ----------------------------------------------------
 
@@ -100,7 +102,7 @@ class ContentPrefetcher:
 
     def clamp_depth(self, depth: int) -> int:
         """Depths saturate at what the per-line bits can encode."""
-        return min(depth, (1 << self.depth_bits) - 1)
+        return depth if depth < self._max_depth else self._max_depth
 
     # -- scanning ---------------------------------------------------------------
 
@@ -130,83 +132,56 @@ class ContentPrefetcher:
             returned ("Line D is not scanned", Figure 3).
 
         Returns the candidate list in line-scan order; chain candidates are
-        followed by their width (previous/next line) companions.
+        followed by their width (previous/next line) companions.  Each
+        line is emitted at most once per scan, and never the scanned line
+        itself.
         """
         if not self._enabled:
             return []
+        stats = self.stats
         next_depth = depth + 1
         if next_depth > self._depth_threshold:
-            self.stats.chains_terminated_by_depth += 1
+            stats.chains_terminated_by_depth += 1
             return []
-        self.stats.lines_scanned += 1
+        stats.lines_scanned += 1
         if is_rescan:
-            self.stats.rescans += 1
+            stats.rescans += 1
         pointers = self.matcher.scan(line_bytes, effective_vaddr)
         if not pointers:
             return []
-        candidates: list[PrefetchCandidate] = []
-        emitted_lines: set[int] = {line_vaddr & self._line_mask}
-        for pointer in pointers:
-            self._emit(pointer, next_depth, emitted_lines, candidates)
-        return candidates
-
-    def _emit(
-        self,
-        pointer: int,
-        depth: int,
-        emitted_lines: set[int],
-        out: list[PrefetchCandidate],
-    ) -> None:
-        line = pointer & self._line_mask
-        stats = self.stats
-        add = emitted_lines.add
-        append = out.append
-        if line not in emitted_lines:
-            add(line)
-            append(
-                PrefetchCandidate(pointer, depth, _KIND_CHAIN, pointer)
-            )
-            stats.chain_candidates += 1
-        # Width companions, inline (this is called once per matched
-        # pointer on every scanned fill): semantics identical to
-        # _emit_width, which is kept for targeted tests.
-        line_size = self._line_size
+        line_mask = self._line_mask
         addr_mask = self._addr_mask
-        width_candidates = 0
-        for k in range(1, self._prev_lines + 1):
-            width = (line - k * line_size) & addr_mask
-            if width not in emitted_lines:
-                add(width)
-                append(
-                    PrefetchCandidate(width, depth, _KIND_PREV, pointer)
-                )
-                width_candidates += 1
-        for k in range(1, self._next_lines + 1):
-            width = (line + k * line_size) & addr_mask
-            if width not in emitted_lines:
-                add(width)
-                append(
-                    PrefetchCandidate(width, depth, _KIND_NEXT, pointer)
-                )
-                width_candidates += 1
-        if width_candidates:
-            stats.width_candidates += width_candidates
-
-    def _emit_width(
-        self,
-        line: int,
-        depth: int,
-        kind: PrefetchKind,
-        trigger: int,
-        emitted_lines: set[int],
-        out: list[PrefetchCandidate],
-    ) -> None:
-        line &= self._addr_mask
-        if line in emitted_lines:
-            return
-        emitted_lines.add(line)
-        out.append(PrefetchCandidate(line, depth, kind, trigger))
-        self.stats.width_candidates += 1
+        line_size = self._line_size
+        prev_lines = self._prev_lines
+        next_range = range(1, self._next_lines + 1)
+        emitted = {line_vaddr & line_mask}
+        add = emitted.add
+        candidates: list[PrefetchCandidate] = []
+        append = candidates.append
+        new = make_candidate
+        chains = widths = 0
+        for pointer in pointers:
+            line = pointer & line_mask
+            if line not in emitted:
+                add(line)
+                append(new((pointer, next_depth, _KIND_CHAIN, pointer)))
+                chains += 1
+            if prev_lines:
+                for k in range(1, prev_lines + 1):
+                    width = (line - k * line_size) & addr_mask
+                    if width not in emitted:
+                        add(width)
+                        append(new((width, next_depth, _KIND_PREV, pointer)))
+                        widths += 1
+            for k in next_range:
+                width = (line + k * line_size) & addr_mask
+                if width not in emitted:
+                    add(width)
+                    append(new((width, next_depth, _KIND_NEXT, pointer)))
+                    widths += 1
+        stats.chain_candidates += chains
+        stats.width_candidates += widths
+        return candidates
 
     # -- reinforcement policy ------------------------------------------------------
 

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 from repro.memory.address import ADDRESS_BITS, address_mask, line_mask
 from repro.params import StrideConfig
-from repro.prefetch.base import PrefetchCandidate, PrefetchKind
+from repro.prefetch.base import PrefetchCandidate, PrefetchKind, make_candidate
 from repro.snapshot.hooks import dataclass_state, load_dataclass_state
 
 __all__ = ["StrideEntry", "StrideStats", "StridePrefetcher"]
+
+_KIND_STRIDE = PrefetchKind.STRIDE
 
 
 @dataclass(slots=True)
@@ -65,44 +67,44 @@ class StridePrefetcher:
 
     def observe(self, pc: int, vaddr: int) -> list[PrefetchCandidate]:
         """Feed one L1 miss; returns stride prefetch candidates (if any)."""
-        if not self.config.enabled:
+        config = self.config
+        if not config.enabled:
             return []
         self.stats.observations += 1
-        entry = self._table.get(pc)
+        table = self._table
+        entry = table.get(pc)
         if entry is None:
-            self._insert(pc, StrideEntry(last_addr=vaddr))
+            self._insert(pc, StrideEntry(vaddr))
             return []
-        self._table.move_to_end(pc)
+        table.move_to_end(pc)
+        threshold = config.confidence_threshold
         stride = vaddr - entry.last_addr
         if stride == entry.stride and stride != 0:
-            if entry.confidence < self.config.confidence_threshold:
+            if entry.confidence < threshold:
                 entry.confidence += 1
         else:
             entry.stride = stride
             entry.confidence = 0
         entry.last_addr = vaddr
-        if entry.confidence < self.config.confidence_threshold:
+        if entry.confidence < threshold:
             return []
         return self._issue(vaddr, entry.stride)
 
     def _issue(self, vaddr: int, stride: int) -> list[PrefetchCandidate]:
         candidates = []
-        seen_lines = {vaddr & self._line_mask}
+        addr_mask = self._addr_mask
+        line_mask = self._line_mask
+        seen_lines = {vaddr & line_mask}
         for k in range(1, self.config.prefetch_distance + 1):
-            target = (vaddr + k * stride) & self._addr_mask
-            line = target & self._line_mask
+            target = (vaddr + k * stride) & addr_mask
+            line = target & line_mask
             if line in seen_lines:
                 continue
             seen_lines.add(line)
             candidates.append(
-                PrefetchCandidate(
-                    vaddr=target,
-                    depth=1,
-                    kind=PrefetchKind.STRIDE,
-                    trigger_vaddr=vaddr,
-                )
+                make_candidate((target, 1, _KIND_STRIDE, vaddr))
             )
-            self.stats.issued += 1
+        self.stats.issued += len(candidates)
         return candidates
 
     def would_cover(self, pc: int, vaddr: int) -> bool:

@@ -72,6 +72,19 @@ class TestBulkAccess:
         assert int.from_bytes(line[0:4], "little") == 0x11111111
         assert int.from_bytes(line[60:64], "little") == 0x22222222
 
+    def test_read_line_is_a_copy(self):
+        memory = BackingMemory()
+        memory.write_word(0x0840_0000, 0xAABBCCDD)
+        line = memory.read_line(0x0840_0000, 64)
+        memory.write_word(0x0840_0000, 0)
+        assert int.from_bytes(line[:4], "little") == 0xAABBCCDD
+
+    def test_read_line_across_pages(self):
+        memory = BackingMemory(page_size=4096)
+        memory.write_bytes(4064, bytes(range(64)))
+        assert memory.read_line(4064, 64) == bytes(range(64))
+        assert memory.read_line(4080, 64)[:48] == bytes(range(16, 64))
+
 
 class TestLaziness:
     def test_pages_materialise_on_touch(self):
@@ -88,9 +101,20 @@ class TestLaziness:
         memory.write_byte(1 * 4096, 1)
         assert memory.touched_page_numbers() == [1, 3]
 
-    def test_reads_do_materialise(self):
-        # Reading allocates the page (simplifies the model; the workload
-        # builder only reads what it wrote anyway).
-        memory = BackingMemory()
-        memory.read_byte(0x42)
+    def test_reads_do_not_materialise(self):
+        # A workload image is shared by every simulator built on it, and
+        # each one maps the image's pages up front: a read that inserted
+        # a page would change the frames of every later run.
+        memory = BackingMemory(fill_byte=0x5A)
+        memory.write_byte(0x1000, 1)
+        assert memory.read_byte(0x0900_0042) == 0x5A
+        assert memory.read_word(0x0900_0040) == 0x5A5A_5A5A
+        assert memory.read_bytes(0x0FFE, 4) == bytes([0x5A, 0x5A, 1, 0x5A])
+        assert memory.read_line(0x0A00_0000, 64) == bytes([0x5A]) * 64
+        assert memory.touched_page_numbers() == [1]
+
+    def test_read_bytes_across_an_absent_page(self):
+        memory = BackingMemory(page_size=4096, fill_byte=0xEE)
+        memory.write_bytes(4094, b"\x01\x02")
+        assert memory.read_bytes(4094, 4) == b"\x01\x02\xee\xee"
         assert memory.touched_pages == 1

@@ -103,8 +103,29 @@ def _fill(store, count):
     return digests
 
 
-def _rebalance_child(directory, started):
+#: The rebalancing child pauses for its SIGKILL after this many copies.
+_COPIES_BEFORE_KILL = 10
+
+
+def _rebalance_child(directory, started, midway):
+    """Rebalance, pausing mid-move after ``_COPIES_BEFORE_KILL`` copies.
+
+    The pause makes the kill land mid-move on every run: with a timed
+    kill, a rebalance that finished first exited cleanly instead.
+    """
     store = ShardedResultStore(directory)
+    put = ResultStore.put
+    copies = 0
+
+    def put_then_pause(self, *args, **kwargs):
+        nonlocal copies
+        put(self, *args, **kwargs)
+        copies += 1
+        if copies == _COPIES_BEFORE_KILL:
+            midway.set()
+            time.sleep(600)  # the parent SIGKILLs this process here
+
+    ResultStore.put = put_then_pause
     started.set()
     store.rebalance()
 
@@ -117,12 +138,14 @@ class TestKilledRebalance:
         store.add_node("node02")
 
         started = multiprocessing.Event()
+        midway = multiprocessing.Event()
         child = multiprocessing.Process(
-            target=_rebalance_child, args=(directory, started)
+            target=_rebalance_child, args=(directory, started, midway)
         )
         child.start()
         assert started.wait(timeout=60)
-        time.sleep(0.03)  # let the move get genuinely mid-flight
+        # The child has copied some keys and is paused mid-move.
+        assert midway.wait(timeout=60)
         os.kill(child.pid, signal.SIGKILL)
         child.join(timeout=60)
         assert child.exitcode == -signal.SIGKILL

@@ -1,7 +1,9 @@
 """Tests for repro.core.functional."""
 
 from repro.core.functional import FunctionalSimulator
+from repro.memory.backing import BackingMemory
 from repro.params import KB, CacheConfig, MachineConfig
+from repro.trace.ops import LOAD, Trace
 from repro.workloads.base import WorkloadContext
 from repro.workloads.kernels import ArrayScanKernel, ListTraversalKernel
 from repro.workloads.structures import build_data_array, build_linked_list
@@ -64,6 +66,36 @@ class TestBasicCounting:
         result = sim.run(workload.trace)
         expected = workload.trace.uop_count // 1000
         assert len(result.mptu_trace) == expected
+
+
+class TestTranslation:
+    """A UL2 access translates through the DTLB, walking on a miss."""
+
+    @staticmethod
+    def run_loads(*vaddrs):
+        memory = BackingMemory()
+        memory.write_word(0x0840_1000, 1)
+        sim = FunctionalSimulator(small_config(enabled=False), memory)
+        ops = [(LOAD, vaddr, 0x0804_8000, -1) for vaddr in vaddrs]
+        trace = Trace("loads", ops=ops)
+        return sim, sim.run(trace)
+
+    def test_first_access_walks_the_page_table(self):
+        sim, result = self.run_loads(0x0840_1234)
+        assert result.tlb_misses == 1
+        paddr = sim.hier.dtlb.peek(0x0840_1234)
+        assert paddr & 0xFFF == 0x234
+        assert paddr == sim.hier.page_table.translate(0x0840_1234)
+        assert sim.hier.l2.peek(paddr & ~63) is not None
+
+    def test_second_access_to_a_page_hits_the_dtlb(self):
+        sim, result = self.run_loads(0x0840_1234, 0x0840_1FF0)
+        assert result.tlb_misses == 1
+        assert sim.hier.dtlb.stats.hits == 1
+        first = sim.hier.dtlb.peek(0x0840_1234)
+        second = sim.hier.dtlb.peek(0x0840_1FF0)
+        assert first >> 12 == second >> 12
+        assert sim.hier.l2.peek(second & ~63) is not None
 
 
 class TestPrefetchAccounting:

@@ -12,35 +12,6 @@ def small_machine():
     )
 
 
-class TestTranslation:
-    def test_first_translation_walks(self):
-        hierarchy = CacheHierarchy(small_machine(), BackingMemory())
-        result = hierarchy.translate(0x0840_1234)
-        assert not result.tlb_hit
-        assert result.walk_line_addrs
-        assert result.paddr & 0xFFF == 0x234
-
-    def test_second_translation_hits_tlb(self):
-        hierarchy = CacheHierarchy(small_machine(), BackingMemory())
-        first = hierarchy.translate(0x0840_1234)
-        second = hierarchy.translate(0x0840_1FF0)
-        assert second.tlb_hit
-        assert second.walk_line_addrs == ()
-        assert second.paddr >> 12 == first.paddr >> 12
-
-    def test_probe_translation_is_passive(self):
-        hierarchy = CacheHierarchy(small_machine(), BackingMemory())
-        assert hierarchy.probe_translation(0x0840_0000) is None
-        hierarchy.translate(0x0840_0000)
-        assert hierarchy.probe_translation(0x0840_0040) is not None
-
-    def test_walk_lines_are_line_aligned(self):
-        hierarchy = CacheHierarchy(small_machine(), BackingMemory())
-        result = hierarchy.translate(0x0900_0000)
-        for line in result.walk_line_addrs:
-            assert line % 64 == 0
-
-
 class TestPremapping:
     def test_image_pages_premapped(self):
         memory = BackingMemory()
@@ -72,14 +43,6 @@ class TestHelpers:
     def test_line_of(self):
         hierarchy = CacheHierarchy(small_machine(), BackingMemory())
         assert hierarchy.line_of(0x1234_5678) == 0x1234_5640
-
-    def test_read_line_bytes(self):
-        memory = BackingMemory()
-        memory.write_word(0x0840_0000, 0xAABBCCDD)
-        hierarchy = CacheHierarchy(small_machine(), memory)
-        line = hierarchy.read_line_bytes(0x0840_0000)
-        assert len(line) == 64
-        assert int.from_bytes(line[:4], "little") == 0xAABBCCDD
 
     def test_reset_stats(self):
         hierarchy = CacheHierarchy(small_machine(), BackingMemory())

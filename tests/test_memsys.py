@@ -213,6 +213,43 @@ class TestReinforcement:
         )
         assert line.depth == 0
 
+    @staticmethod
+    def _until_inflight(memsys, vaddr):
+        """Advance until *vaddr*'s line has a fill in flight."""
+        time = 0
+        while time < 100_000:
+            time += 50
+            memsys.advance_to(time)
+            for line in memsys.mshr.inflight_lines():
+                status = memsys.mshr.lookup(line)
+                if status.line_vaddr == vaddr & ~63:
+                    return status, time
+        raise AssertionError("no fill ever went in flight")
+
+    def test_inflight_prefetch_promoted_once_with_depth_reset(self):
+        memory, addresses = chain_memory(6)
+        memsys = build_memsys(small_config(next_lines=0), memory)
+        memsys.load(addresses[0], PC, 0)
+        status, time = self._until_inflight(memsys, addresses[1])
+        assert status.requester is Requester.CONTENT
+        assert (status.depth, status.promoted) == (1, False)
+        memsys.load(addresses[1], PC, time)
+        assert (status.depth, status.promoted) == (0, True)
+        assert status.demand_waiters == 1
+        # A second demand waits on the same fill; nothing resets again.
+        memsys.load(addresses[1] + 4, PC, time + 1)
+        assert status.demand_waiters == 2
+        assert status.requester is Requester.CONTENT
+
+    def test_inflight_demand_fill_is_not_promoted(self):
+        memsys = build_memsys()
+        memsys.load(HEAP, PC, 0)
+        status = memsys.mshr.lookup(memsys.hier.dtlb.peek(HEAP) & ~63)
+        memsys.load(HEAP + 8, PC, 10)
+        assert status.requester is Requester.DEMAND
+        assert status.demand_waiters == 1
+        assert not status.promoted
+
 
 class TestArbitersAndBus:
     def test_bus_transfers_counted(self):

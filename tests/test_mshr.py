@@ -91,19 +91,3 @@ class TestMSHRFile:
         mshr.allocate(make_status(line=0x1000))
         mshr.allocate(make_status(line=0x2000))
         assert sorted(mshr.inflight_lines()) == [0x1000, 0x2000]
-
-
-class TestPromotion:
-    def test_promote_to_demand_resets_depth_once(self):
-        status = make_status(depth=3)
-        status.promote_to_demand()
-        assert status.promoted
-        assert status.depth == 0
-        assert status.demand_waiters == 1
-        status.promote_to_demand()
-        assert status.demand_waiters == 2
-
-    def test_demand_status_promotion_keeps_depth(self):
-        status = make_status(requester=Requester.DEMAND, depth=0)
-        status.promote_to_demand()
-        assert not status.promoted  # only prefetches get promoted

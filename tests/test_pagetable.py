@@ -87,3 +87,14 @@ class TestWalkTraffic:
         paddr = table.translate(0x0840_0000)
         for walk_addr in table.walk_addresses(0x0840_0000):
             assert walk_addr < 0x0100_0000 <= paddr
+
+    def test_walk_lines_land_in_the_table_area(self):
+        # The timing simulator fills each walk read's line into the UL2:
+        # those lines must lie in the table area, below every data frame.
+        table = PageTable(table_base=0x1000, frame_base=0x0100_0000)
+        for vaddr in (0x0840_0000, 0x0900_0000, 0xBFF0_1234):
+            table.translate(vaddr)
+            for walk_addr in table.walk_addresses(vaddr):
+                line = walk_addr & ~63
+                assert line % 64 == 0
+                assert 0x1000 <= line < 0x0100_0000

@@ -12,7 +12,9 @@ from repro.memory.backing import BackingMemory
 from repro.params import KB, CacheConfig, MachineConfig
 from repro.prefetch.content import ContentPrefetcher
 from repro.prefetch.stride import StridePrefetcher
-from repro.trace.ops import TraceBuilder
+from repro.core.simulator import TimingSimulator
+from repro.service.http import encode_result
+from repro.trace.ops import LOAD, Trace, TraceBuilder
 from repro.workloads.base import WorkloadContext
 from repro.workloads.kernels import ListTraversalKernel
 from repro.workloads.structures import build_linked_list
@@ -171,3 +173,47 @@ class TestWarmupInterpolation:
         core = OutOfOrderCore(CoreConfig(), NullMemory())
         measured = core.run(builder.build(), warmup_uops=3000)
         assert abs(measured - 1000) < 5  # half of 2000 cycles
+
+
+class TestSharedImageUntouchedByRuns:
+    """A run must not write to the workload image it reads.
+
+    Sweeps and fabric workers build many simulators on one image, and
+    each maps the image's pages at construction.  Reads of unwritten
+    addresses used to materialise zero pages in the image, so the next
+    simulator handed out different physical frames and a cell's result
+    depended on what had run before it on that image.
+    """
+
+    @staticmethod
+    def image_and_trace():
+        memory = BackingMemory()
+        for page in range(64):
+            memory.write_word(HEAP + page * 4096, HEAP + (page + 1) * 4096)
+        ops = [(LOAD, HEAP + page * 4096, PC, -1) for page in range(64)]
+        # Eight loads of pages the image never wrote.
+        unwritten = 0x0900_0000
+        ops += [(LOAD, unwritten + page * 4096, PC, -1) for page in range(8)]
+        return memory, Trace("image", ops=ops)
+
+    def test_timing_runs_repeat_and_leave_the_image_alone(self):
+        memory, trace = self.image_and_trace()
+        config = small_config()
+        first = TimingSimulator(config, memory).run(trace)
+        assert memory.touched_pages == 64
+        second = TimingSimulator(config, memory).run(trace)
+        assert memory.touched_pages == 64
+        assert encode_result(second)["digest"] == (
+            encode_result(first)["digest"]
+        )
+        assert second.cycles == first.cycles
+
+    def test_functional_runs_repeat_and_leave_the_image_alone(self):
+        memory, trace = self.image_and_trace()
+        config = small_config()
+        first = FunctionalSimulator(config, memory).run(trace)
+        second = FunctionalSimulator(config, memory).run(trace)
+        assert memory.touched_pages == 64
+        assert encode_result(second)["digest"] == (
+            encode_result(first)["digest"]
+        )

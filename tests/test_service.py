@@ -475,7 +475,12 @@ class TestDeadlineShedding:
             service = SimulationService(
                 str(tmp_path / "cache"), max_workers=1
             )
-            first = service.submit(_request(seed=1))  # takes the worker
+            # Takes the worker for far longer than the doomed job's
+            # 10 ms budget: a timing cell at five times the suite's
+            # scale (a scale-0.02 functional cell can finish inside it).
+            first = service.submit(
+                _request(seed=1, mode="timing", scale=5 * SCALE)
+            )
             doomed = service.submit(_request(seed=2), deadline=0.01)
             with pytest.raises(DeadlineExpired) as excinfo:
                 await doomed.future

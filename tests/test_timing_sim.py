@@ -1,5 +1,8 @@
 """Integration tests for repro.core.simulator (the timing simulator)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.simulator import TimingSimulator, run_pair
@@ -75,6 +78,32 @@ class TestEndToEnd:
         before = workload.memory.read_line(0x0840_0000)
         TimingSimulator(small_config(), workload.memory).run(workload.trace)
         assert workload.memory.read_line(0x0840_0000) == before
+
+
+class TestFreedByRefcount:
+    """A finished simulator is freed without the cyclic GC.
+
+    Sweeps build thousands of simulators; a reference cycle through the
+    memory system would keep each one's whole cache hierarchy alive
+    until a cyclic collection happened to run.
+    """
+
+    @pytest.mark.parametrize("mode", ["batched", "reference"])
+    def test_finished_memory_system_dies_on_del(self, mode):
+        workload = chase_workload(nodes=200)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            sim = TimingSimulator(small_config(), workload.memory)
+            sim.memsys.set_drain_mode(mode)
+            sim.run(workload.trace)
+            memsys = weakref.ref(sim.memsys)
+            del sim
+            assert memsys() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDistribution:
