@@ -53,7 +53,7 @@ __all__ = [
 #: the simulator, an assertion): the worker survived to report it.
 CODE_SIM_ERROR = "sim_error"
 #: The job exceeded its wall-clock budget and was abandoned (and, under
-#: supervised process workers, killed).
+#: process workers, killed).
 CODE_TIMEOUT = "timeout"
 #: The worker process died without reporting a result (signal, OOM kill,
 #: interpreter abort).

@@ -225,11 +225,10 @@ def main(argv=None) -> int:
         help="worker count for --service-store (default: 1)",
     )
     parser.add_argument(
-        "--service-mode", choices=("thread", "process", "fabric"),
+        "--service-mode", choices=("thread", "fabric"),
         default="thread",
-        help="worker tier for --service-store: in-process threads, "
-             "per-job processes, or the persistent multi-process fabric "
-             "(default: thread)",
+        help="worker tier for --service-store: in-process threads or "
+             "the persistent multi-process fabric (default: thread)",
     )
     parser.add_argument(
         "--chart", action="store_true",

@@ -11,7 +11,7 @@ converge to digest-identical results.
 
 Three fault families, all driven by seeded, replayable decisions:
 
-* **Worker kills** — a supervised process worker SIGKILLs *itself*
+* **Worker kills** — a fabric worker process SIGKILLs *itself*
   mid-job (an uncatchable, genuine death; the scheduler sees a worker
   crash, not a cooperative exception).  Decisions are keyed by
   ``(chaos seed, digest, attempt)``, so a killed job's retry rolls a

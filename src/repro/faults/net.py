@@ -40,11 +40,11 @@ fully replayable from its seed alone.  Fault families:
     exists — is what ends it.
 ``latency``
     A seeded delay is inserted before the response flows — not a
-    failure, but the tail-latency spike that hedged requests exist for.
+    failure, but a tail-latency spike: the answer is late, not wrong.
 
 Why this is safe to retry against: every service result is
 content-addressed by its request digest and digest-verified end to end,
-so a retried or hedged request can only ever produce a byte-identical
+so a retried request can only ever produce a byte-identical
 result.  The proxy never changes *what* is computed — only whether a
 given attempt's bytes arrive intact — which is exactly the paper's
 stateless-prefetch argument transplanted to the transport.

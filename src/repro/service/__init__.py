@@ -11,24 +11,27 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   versioned invalidation.
 * :mod:`repro.service.scheduler` — :class:`SimulationService`: bounded
   priority queue, single-flight dedup, typed backpressure rejections,
-  retry/timeout worker tier, and snapshot-boundary preemption of sweep
+  retry/timeout worker tier (in-process threads, or the fabric's
+  worker processes), and snapshot-boundary preemption of sweep
   jobs in favour of interactive requests (preempted jobs resume
   bit-identically).
 * :mod:`repro.service.client` — async sweep batching plus the blocking
   :class:`ServiceSession` facade, which can route the experiments CLI's
   sweeps through the cache (``repro-experiments ... --service-store``),
-  and the HTTP clients (:class:`AsyncServiceClient` /
-  :class:`ServiceClient`) for the served tier.
+  and the HTTP clients for the served tier: :class:`AsyncServiceClient`
+  and :class:`ServiceClient`, a blocking wrapper that runs it on a
+  private event loop.
 * :mod:`repro.service.http` — :class:`ServiceHTTPServer`: the network
   front end (``repro-serve serve``), with bearer-token → priority-class
   auth, typed 429/503/409 backpressure responses, digest-verified
   result transport, and Prometheus ``/metrics`` + ``/health``.
 * :mod:`repro.service.loadgen` — profile-driven load generator for the
   HTTP tier (named traffic mixes × concurrency × duration).
-* :mod:`repro.service.fabric` — :class:`FabricCoordinator`: a pool of
-  persistent worker *processes* fed from per-worker queues with
-  content-affinity routing, work stealing, crash respawn, and graceful
-  per-worker drain (``repro-serve ... --fabric-workers N``).
+* :mod:`repro.service.fabric` — :class:`FabricCoordinator`: the
+  process-worker pool, persistent worker *processes* fed from
+  per-worker queues with content-affinity routing, work stealing, crash
+  respawn, and graceful per-worker drain (``repro-serve ...
+  --fabric-workers N``).
 * :mod:`repro.service.shardmap` — :class:`ShardMap` /
   :class:`ShardedResultStore`: the result cache consistent-hash-sharded
   over replicated store nodes, with checksummed reads falling back
@@ -39,7 +42,7 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   class, with prefetcher-style predicted/issued/useful/wasted counters.
 * :mod:`repro.service.cli` — the ``repro-serve`` command.
 
-The tier is *crash-only* (PR 6): process workers are supervised by
+The tier is *crash-only*: fabric workers are supervised by
 heartbeat (stalled ones are reaped and their jobs retried), jobs that
 repeatedly kill their workers are quarantined as poison and never
 resubmitted, damaged store entries are quarantined — never deleted —

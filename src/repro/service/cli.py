@@ -59,15 +59,15 @@ damaged ones to the quarantine directory (never deleting — forensics
 first).  With ``--repair``, entries whose fingerprint survived are
 recomputed through a local service and verified back into the store.
 
-Distribution (:mod:`repro.service.fabric` / ``shardmap``): ``--fabric-workers N``
-on ``batch`` and ``serve`` runs jobs through the multi-process fabric
-coordinator (shorthand for ``--worker-mode fabric --workers N``);
-``--store-nodes N`` shards the result store across N consistent-hash
-nodes (``--replication R`` keeps R copies of every entry); ``--prewarm``
-turns on the sweep-cell pre-warmer; ``--adaptive-rate`` lets the HTTP
-rate limiter track the scheduler's drain rate under backlog.
-``rebalance`` adds/removes store nodes and moves the bounded set of
-keys whose placement changed (the runbook lives in
+Worker tier: ``batch`` and ``serve`` run jobs on ``--workers N``
+in-process threads, or with ``--fabric-workers N`` through the
+multi-process fabric coordinator (:mod:`repro.service.fabric`), the
+only process-worker path; ``scrub --repair`` recomputes on threads.
+Distribution (``shardmap``): ``--store-nodes N`` shards the result
+store across N consistent-hash nodes (``--replication R`` keeps R
+copies of every entry); ``--prewarm`` turns on the sweep-cell
+pre-warmer.  ``rebalance`` adds/removes store nodes and moves the
+bounded set of keys whose placement changed (the runbook lives in
 docs/architecture.md).  ``status`` and ``scrub`` open sharded and
 plain stores alike.
 
@@ -137,10 +137,10 @@ def _result_line(result) -> str:
 
 
 def _resolve_pool(args):
-    """``(workers, worker_mode)`` after the ``--fabric-workers`` shorthand."""
-    if getattr(args, "fabric_workers", None):
+    """``(workers, worker_mode)``: ``--fabric-workers N``, else threads."""
+    if args.fabric_workers:
         return args.fabric_workers, "fabric"
-    return args.workers, args.worker_mode
+    return args.workers, "thread"
 
 
 def _prepare_store(args) -> None:
@@ -270,7 +270,6 @@ def _cmd_serve(args) -> int:
             header_timeout=args.header_timeout,
             body_timeout=args.body_timeout,
             rate_limit=args.rate_limit,
-            adaptive_rate=args.adaptive_rate,
         )
         await server.start()
         print(
@@ -454,9 +453,7 @@ def _cmd_scrub(args) -> int:
         from repro.service.client import ServiceSession
 
         session = ServiceSession(
-            store_dir=args.store,
-            max_workers=args.workers,
-            worker_mode=args.worker_mode,
+            store_dir=args.store, max_workers=args.workers
         )
         with session:
             report = session.scrub(repair=True)
@@ -516,14 +513,9 @@ def main(argv=None) -> int:
         help="worker count (default: 1)",
     )
     batch.add_argument(
-        "--worker-mode", choices=("thread", "process", "fabric"),
-        default="thread",
-        help="worker tier kind (default: thread)",
-    )
-    batch.add_argument(
         "--fabric-workers", type=int, default=None, metavar="N",
-        help="shorthand for --worker-mode fabric --workers N: run jobs "
-             "through a pool of N persistent worker processes",
+        help="run jobs through a pool of N persistent worker processes "
+             "instead of --workers threads",
     )
     batch.add_argument(
         "--store-nodes", type=int, default=None, metavar="N",
@@ -548,8 +540,8 @@ def main(argv=None) -> int:
     )
     batch.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill and retry a process worker whose heartbeat goes "
-             "silent this long (process/fabric modes)",
+        help="kill and retry a fabric worker whose heartbeat goes "
+             "silent this long",
     )
     batch.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -582,14 +574,9 @@ def main(argv=None) -> int:
         help="worker count (default: 2)",
     )
     serve.add_argument(
-        "--worker-mode", choices=("thread", "process", "fabric"),
-        default="thread",
-        help="worker tier kind (default: thread)",
-    )
-    serve.add_argument(
         "--fabric-workers", type=int, default=None, metavar="N",
-        help="shorthand for --worker-mode fabric --workers N: run jobs "
-             "through a pool of N persistent worker processes",
+        help="run jobs through a pool of N persistent worker processes "
+             "instead of --workers threads",
     )
     serve.add_argument(
         "--store-nodes", type=int, default=None, metavar="N",
@@ -619,7 +606,7 @@ def main(argv=None) -> int:
     )
     serve.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
-        help="heartbeat reaper threshold (process/fabric modes)",
+        help="heartbeat reaper threshold (fabric workers)",
     )
     serve.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -648,12 +635,6 @@ def main(argv=None) -> int:
         "--rate-limit", type=float, default=None, metavar="REQ_PER_SEC",
         help="per-token (or per-anonymous-peer) request rate before a "
              "429 + Retry-After; default: unlimited",
-    )
-    serve.add_argument(
-        "--adaptive-rate", action="store_true",
-        help="under backlog, refill the rate-limit bucket at the "
-             "scheduler's observed drain rate (--rate-limit stays the "
-             "ceiling)",
     )
     serve.add_argument(
         "--drain-grace", type=float, default=10.0, metavar="SECONDS",
@@ -724,12 +705,7 @@ def main(argv=None) -> int:
     )
     scrub.add_argument(
         "--workers", type=int, default=1,
-        help="worker count for --repair recomputation (default: 1)",
-    )
-    scrub.add_argument(
-        "--worker-mode", choices=("thread", "process", "fabric"),
-        default="thread",
-        help="worker tier kind for --repair (default: thread)",
+        help="thread count for --repair recomputation (default: 1)",
     )
     scrub.add_argument(
         "--json", action="store_true",

@@ -19,15 +19,16 @@ Two layers:
 
 * **HTTP clients** against a ``repro-serve serve`` front end
   (:mod:`repro.service.http`) — :class:`AsyncServiceClient` (asyncio,
-  persistent keep-alive connection, what the load generator drives) and
-  :class:`ServiceClient` (blocking, stdlib ``http.client``, for scripts
-  and notebooks).  Both speak the same wire format, decode results
-  through :func:`repro.service.http.decode_result` (digest-verified),
-  and raise :class:`ServiceHTTPError` carrying the failure-taxonomy
-  code, any ``Retry-After`` hint, and the attempt count on non-2xx
-  responses.
+  persistent keep-alive connection, what the load generator drives)
+  holds the one implementation of the protocol; :class:`ServiceClient`
+  (blocking, for scripts and notebooks) runs it on a private event
+  loop.  Results decode through
+  :func:`repro.service.http.decode_result` (digest-verified), and
+  non-2xx responses raise :class:`ServiceHTTPError` carrying the
+  failure-taxonomy code, any ``Retry-After`` hint, and the attempt
+  count.
 
-Network resilience (both HTTP clients, opt-in via :class:`RetryPolicy`):
+Network resilience (opt-in via :class:`RetryPolicy`):
 
 * **capped jittered-backoff retries** across connection failures,
   response corruption (any parse/digest failure), per-attempt timeouts,
@@ -36,29 +37,18 @@ Network resilience (both HTTP clients, opt-in via :class:`RetryPolicy`):
 * **deadline budgets** — a per-request wall-clock budget, propagated to
   the server as ``X-Deadline-Ms`` (remaining milliseconds, recomputed
   per attempt) so the server can shed work whose caller has already
-  given up; the client itself stops retrying when the budget is gone
-  and raises a typed ``deadline_expired`` error;
-* **hedged GETs** (:meth:`AsyncServiceClient.hedged_result`) — after a
-  quiet period, a second connection races the first for a cached
-  result; first intact answer wins.  Safe because results are
-  content-addressed and digest-verified: any byte-identical answer is
-  *the* answer, so duplicating a read can never return the wrong one;
-* **hedged submits** (``hedged_submit`` on both clients) — the same
-  race for ``POST /v1/jobs``.  Safe for the same reason one layer up:
-  a submit is idempotent by content address, so when both POSTs land
-  the second simply joins the first's in-flight job (or hits the
-  cache) and both acceptance bodies name the same digest.
+  given up.  The client raises a typed ``deadline_expired`` error once
+  the budget is gone, and the last error at once when a backoff would
+  outlast the budget; one budget covers a call's every attempt.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
+import dataclasses
 import json
 import random
 import threading
-import time
-from dataclasses import dataclass
 
 from repro.experiments import common as _common
 from repro.params import MachineConfig
@@ -141,6 +131,37 @@ async def sweep_speedups(
     return speedups
 
 
+class _LoopThread:
+    """A private event loop running on a daemon thread.
+
+    The blocking facades hand it coroutines with
+    ``asyncio.run_coroutine_threadsafe(coroutine, runner.loop)`` and
+    block on the result; everything the coroutines touch stays on the
+    loop's thread.  The calling thread may run an event loop of its own
+    (a notebook's main thread does): the private loop never runs there.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.loop = asyncio.new_event_loop()
+        ready = threading.Event()
+
+        def runner() -> None:
+            asyncio.set_event_loop(self.loop)
+            ready.set()
+            self.loop.run_forever()
+
+        self._thread = threading.Thread(
+            target=runner, name=name, daemon=True
+        )
+        self._thread.start()
+        ready.wait()
+
+    def close(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.close()
+
+
 class ServiceSession:
     """Blocking facade over a :class:`SimulationService` on its own loop.
 
@@ -168,8 +189,7 @@ class ServiceSession:
         self._prebuilt = service
         self._store_dir = store_dir
         self._service_kwargs = service_kwargs
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        self._runner: _LoopThread | None = None
         self.service: SimulationService | None = None
         self._installed_previous = None
         self._installed = False
@@ -177,23 +197,9 @@ class ServiceSession:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "ServiceSession":
-        if self._loop is not None:
+        if self._runner is not None:
             raise RuntimeError("session already started")
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def runner() -> None:
-            asyncio.set_event_loop(loop)
-            ready.set()
-            loop.run_forever()
-
-        thread = threading.Thread(
-            target=runner, name="repro-service-session", daemon=True
-        )
-        thread.start()
-        ready.wait()
-        self._loop = loop
-        self._thread = thread
+        self._runner = _LoopThread("repro-service-session")
         if self._prebuilt is not None:
             self.service = self._prebuilt
         else:
@@ -203,17 +209,14 @@ class ServiceSession:
         return self
 
     def close(self, drain: bool = True) -> None:
-        if self._loop is None:
+        if self._runner is None:
             return
         if self._installed:
             self.uninstall()
         if self.service is not None:
             self._call(self.service.shutdown(drain=drain))
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
-        self._loop = None
-        self._thread = None
+        self._runner.close()
+        self._runner = None
 
     def __enter__(self) -> "ServiceSession":
         return self.start()
@@ -222,10 +225,10 @@ class ServiceSession:
         self.close()
 
     def _call(self, coroutine):
-        if self._loop is None:
+        if self._runner is None:
             raise RuntimeError("session is not started")
         return asyncio.run_coroutine_threadsafe(
-            coroutine, self._loop
+            coroutine, self._runner.loop
         ).result()
 
     # -- blocking request API -------------------------------------------------
@@ -345,9 +348,8 @@ class ServiceHTTPError(Exception):
     body (``queue_full``, ``quarantined``, ``unauthorized``, ...);
     ``retry_after`` is the server's backoff hint in seconds when one was
     sent (429/503), else ``None``; ``attempts`` is how many attempts the
-    raising client spent before giving up (1 without a retry policy) —
-    uniform across both clients, so callers can tell a hard failure
-    from an exhausted retry budget.
+    raising client spent before giving up, so callers can tell a hard
+    failure from an exhausted retry budget.
     """
 
     def __init__(self, status: int, body: dict,
@@ -366,7 +368,7 @@ class ServiceHTTPError(Exception):
         )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RetryPolicy:
     """How an HTTP client survives a hostile network.
 
@@ -391,7 +393,8 @@ class RetryPolicy:
     max_backoff: float = 5.0
     jitter: float = 0.5
     statuses: tuple = (429, 503)
-    #: Per-attempt wall-clock cap (seconds); ``None`` trusts the socket.
+    #: Per-attempt wall-clock cap (seconds) on connect, send, response
+    #: head and body together; ``None``: no cap.
     request_timeout: float | None = None
     seed: int | None = None
 
@@ -408,9 +411,15 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * rng.random())
 
 
+#: The policy of a client built without one: one reconnect when a
+#: keep-alive connection turns out dead, no status retries, no backoff.
+_RECONNECT_ONCE = RetryPolicy(attempts=2, backoff=0.0, jitter=0.0,
+                              statuses=())
+
 #: What a retrying client treats as "the attempt died in transit":
-#: resets, short reads, OS errors, and any parse-level ValueError — a
-#: corrupted status line, header, or JSON body all land here.
+#: resets, short reads, OS errors (a timed-out attempt's TimeoutError
+#: among them), and any parse-level ValueError — a corrupted status
+#: line, header, JSON body or result digest all land here.
 _TRANSPORT_ERRORS = (
     ConnectionError, asyncio.IncompleteReadError, OSError,
     ValueError, IndexError,
@@ -424,12 +433,6 @@ def _expired(attempts: int) -> ServiceHTTPError:
          "code": "deadline_expired"},
         attempts=attempts,
     )
-
-
-def _request_body(request: SimRequest, priority) -> bytes:
-    from repro.service.http import request_to_wire
-
-    return json.dumps(request_to_wire(request, priority)).encode()
 
 
 def _decode_payload(payload: dict):
@@ -465,8 +468,8 @@ class AsyncServiceClient:
         self.host = host
         self.port = port
         self.token = token
-        #: ``None`` keeps the legacy behavior: reconnect once on a dead
-        #: keep-alive connection, no status retries.
+        #: ``None``: reconnect once on a dead keep-alive connection, no
+        #: status retries, no backoff.
         self.retry = retry
         #: Default per-request wall-clock budget in seconds (propagated
         #: as ``X-Deadline-Ms``); ``None`` means no deadline.
@@ -490,13 +493,13 @@ class AsyncServiceClient:
     async def __aexit__(self, *exc_info) -> None:
         await self.close()
 
-    async def _connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-
     async def _roundtrip(self, method: str, path: str, body: bytes,
-                         extra_headers: dict | None = None):
+                         extra_headers: dict | None):
+        """One attempt: connect if needed, send, read head and body."""
+        if self._writer is None:
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
+            )
         headers = [
             "%s %s HTTP/1.1" % (method, path),
             "Host: %s:%d" % (self.host, self.port),
@@ -532,90 +535,72 @@ class AsyncServiceClient:
                       deadline: float | None = None):
         """One JSON round trip; returns ``(status, headers, parsed_body)``.
 
-        Without a :class:`RetryPolicy`, reconnects once on a dead
-        keep-alive connection (legacy behavior).  With one, survives
-        resets, corruption, stalls, and retryable statuses per the
-        policy.  Raises :class:`ServiceHTTPError` for status >= 400.
+        Survives resets, corruption, stalls and retryable statuses per
+        the client's :class:`RetryPolicy` (without one: one reconnect on
+        a dead keep-alive connection).  Raises :class:`ServiceHTTPError`
+        for status >= 400.
         """
         body = json.dumps(tree).encode() if tree is not None else b""
+        return await self._exchange(method, path, body, deadline)
+
+    async def _exchange(self, method: str, path: str, body: bytes,
+                        deadline: float | None, decode=None):
+        """The request loop every call goes through.
+
+        Each attempt — connect, send, head and body — is capped by the
+        policy's ``request_timeout``.  ``decode`` rebuilds a 200 body; a
+        ``ValueError`` from it (a payload corrupted in flight that still
+        parsed) fails the attempt like a torn read.  One deadline budget
+        covers every attempt and every backoff.
+        """
+        policy = self.retry or _RECONNECT_ONCE
         loop = asyncio.get_running_loop()
         budget = deadline if deadline is not None else self.deadline
         deadline_at = None if budget is None else loop.time() + budget
-
-        def deadline_headers():
-            if deadline_at is None:
-                return {}
-            remaining = deadline_at - loop.time()
-            return {"X-Deadline-Ms": "%d" % max(1, int(remaining * 1000))}
-
-        if self.retry is None:
-            if deadline_at is not None and loop.time() >= deadline_at:
-                raise _expired(attempts=0)
-            if self._writer is None:
-                await self._connect()
-            try:
-                status, headers, payload = await self._roundtrip(
-                    method, path, body, deadline_headers()
-                )
-            except (ConnectionError, asyncio.IncompleteReadError, OSError):
-                await self.close()
-                await self._connect()
-                status, headers, payload = await self._roundtrip(
-                    method, path, body, deadline_headers()
-                )
-            return self._finish(status, headers, payload, attempts=1,
-                                close_cb=self._drop_connection)
-
+        headers = None
         attempt = 0
         while True:
             attempt += 1
-            if deadline_at is not None and loop.time() >= deadline_at:
-                raise _expired(attempts=attempt - 1)
+            if deadline_at is not None:
+                remaining = deadline_at - loop.time()
+                if remaining <= 0:
+                    raise _expired(attempts=attempt - 1)
+                headers = {
+                    "X-Deadline-Ms": "%d" % max(1, int(remaining * 1000))
+                }
             try:
-                if self._writer is None:
-                    await self._connect()
-                coroutine = self._roundtrip(
-                    method, path, body, deadline_headers()
-                )
-                if self.retry.request_timeout is not None:
-                    status, headers, payload = await asyncio.wait_for(
-                        coroutine, self.retry.request_timeout
+                if policy.request_timeout is None:
+                    response = await self._roundtrip(
+                        method, path, body, headers
                     )
                 else:
-                    status, headers, payload = await coroutine
-            except (asyncio.TimeoutError, *_TRANSPORT_ERRORS):
-                self._drop_connection()
-                if attempt >= self.retry.attempts:
-                    raise
-                pause = self._pause(attempt, None, deadline_at, loop.time())
-                if pause is None:
-                    raise  # the backoff itself would blow the deadline
-                await asyncio.sleep(pause)
-                continue
-            try:
-                return self._finish(status, headers, payload,
-                                    attempts=attempt,
-                                    close_cb=self._drop_connection)
+                    async with asyncio.timeout(policy.request_timeout):
+                        response = await self._roundtrip(
+                            method, path, body, headers
+                        )
+                return self._finish(*response, attempts=attempt,
+                                    decode=decode)
             except ServiceHTTPError as exc:
-                if exc.status not in self.retry.statuses \
-                        or attempt >= self.retry.attempts:
+                if exc.status not in policy.statuses \
+                        or attempt >= policy.attempts:
                     raise
-                pause = self._pause(
-                    attempt, exc.retry_after, deadline_at, loop.time()
-                )
+                pause = self._pause(policy, attempt, exc.retry_after,
+                                    deadline_at)
                 if pause is None:
                     raise  # the backoff itself would blow the deadline
-                await asyncio.sleep(pause)
-            except ValueError:
-                # A complete-but-corrupted payload (body bytes flipped in
-                # flight) is a transport failure wearing a 200.
+            except _TRANSPORT_ERRORS:
                 self._drop_connection()
-                if attempt >= self.retry.attempts:
+                if attempt >= policy.attempts:
                     raise
-                pause = self._pause(attempt, None, deadline_at, loop.time())
+                pause = self._pause(policy, attempt, None, deadline_at)
                 if pause is None:
-                    raise
-                await asyncio.sleep(pause)
+                    raise  # the backoff itself would blow the deadline
+            except asyncio.CancelledError:
+                # Abandoned mid-attempt: the stream may hold part of this
+                # response, which must never be read as the next one's.
+                self._drop_connection()
+                raise
+            await asyncio.sleep(pause)
 
     def _drop_connection(self) -> None:
         """Synchronously abandon the connection (transport closes async)."""
@@ -626,23 +611,23 @@ class AsyncServiceClient:
                 pass
             self._reader = self._writer = None
 
-    def _pause(self, attempt, retry_after, deadline_at, now):
+    def _pause(self, policy, attempt, retry_after, deadline_at):
         """Backoff before the next attempt; ``None`` = budget exhausted."""
-        pause = self.retry.delay(attempt, self._rng, retry_after=retry_after)
-        if deadline_at is not None and now + pause >= deadline_at:
+        pause = policy.delay(attempt, self._rng, retry_after=retry_after)
+        if deadline_at is not None and \
+                asyncio.get_running_loop().time() + pause >= deadline_at:
             return None
         return pause
 
-    def _finish(self, status, headers, payload, attempts, close_cb=None):
+    def _finish(self, status, headers, payload, attempts, decode=None):
         """Parse one response; raise typed errors, honour close headers."""
-        must_close = headers.get("connection", "").lower() == "close"
+        if headers.get("connection", "").lower() == "close":
+            self._drop_connection()
         content_type = headers.get("content-type", "")
         if content_type.startswith("application/json"):
             parsed = json.loads(payload.decode() or "null")
         else:
             parsed = payload.decode()
-        if must_close and close_cb is not None:
-            close_cb()
         if status >= 400:
             retry_after = headers.get("retry-after")
             raise ServiceHTTPError(
@@ -650,6 +635,8 @@ class AsyncServiceClient:
                 retry_after=float(retry_after) if retry_after else None,
                 attempts=attempts,
             )
+        if decode is not None and status == 200:
+            parsed = decode(parsed)
         return status, headers, parsed
 
     # -- endpoint wrappers --------------------------------------------------
@@ -663,56 +650,6 @@ class AsyncServiceClient:
         )
         return body
 
-    async def hedged_submit(self, request: SimRequest, priority=None,
-                            hedge_after: float = 0.05) -> dict:
-        """:meth:`submit`, hedged: race a second connection after a wait.
-
-        The write-side twin of :meth:`hedged_result`.  If the primary
-        connection hasn't carried the acceptance within ``hedge_after``
-        seconds, a fresh connection POSTs the same request and the
-        first answer wins.  Content addressing makes the duplicate POST
-        idempotent: the slower submit joins the faster one's in-flight
-        job (or hits the cache), so both acceptance bodies name the
-        same digest and the job runs once.  The loser is cancelled and
-        its connection dropped.
-        """
-        primary = asyncio.ensure_future(self.submit(request, priority))
-
-        async def hedge():
-            await asyncio.sleep(hedge_after)
-            spare = AsyncServiceClient(
-                self.host, self.port, token=self.token, retry=self.retry
-            )
-            try:
-                return await spare.submit(request, priority)
-            finally:
-                await spare.close()
-
-        backup = asyncio.ensure_future(hedge())
-        pending = {primary, backup}
-        last_exc = None
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    if task.cancelled():
-                        continue
-                    if task.exception() is None:
-                        return task.result()
-                    last_exc = task.exception()
-            raise last_exc
-        finally:
-            for task in (primary, backup):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(primary, backup, return_exceptions=True)
-            if primary.cancelled():
-                # Torn down mid-write/read: the keep-alive stream may
-                # hold a half response — never reuse it.
-                self._drop_connection()
-
     async def job_status(self, digest: str) -> dict:
         _status, _headers, body = await self.request(
             "GET", "/v1/jobs/%s" % digest
@@ -722,74 +659,16 @@ class AsyncServiceClient:
     async def result(self, digest: str):
         """The decoded (digest-verified) result; ``None`` while pending.
 
-        With a retry policy, a payload that fails digest verification
-        (in-flight corruption the transport didn't catch) is treated
-        like any other transport failure: drop the connection, back
-        off, fetch again.
+        A payload that fails digest verification (in-flight corruption
+        the transport didn't catch) fails its attempt like any other
+        transport failure: the request loop drops the connection, backs
+        off within the deadline budget, and fetches again.
         """
-        attempts = self.retry.attempts if self.retry is not None else 1
-        for attempt in range(1, attempts + 1):
-            status, _headers, body = await self.request(
-                "GET", "/v1/jobs/%s/result" % digest
-            )
-            if status == 202:
-                return None
-            try:
-                return _decode_payload(body)
-            except ValueError:
-                self._drop_connection()
-                if attempt >= attempts:
-                    raise
-                await asyncio.sleep(
-                    self.retry.delay(attempt, self._rng)
-                )
-
-    async def hedged_result(self, digest: str, hedge_after: float = 0.05):
-        """:meth:`result`, hedged: race a second connection after a wait.
-
-        For cached results behind a flaky network: if the primary
-        connection hasn't answered within ``hedge_after`` seconds, a
-        fresh connection issues the same GET and the first intact
-        answer wins.  Content addressing makes the race benign — both
-        connections can only return the byte-identical digest-verified
-        result.  The loser is cancelled and its connection dropped.
-        """
-        primary = asyncio.ensure_future(self.result(digest))
-
-        async def hedge():
-            await asyncio.sleep(hedge_after)
-            spare = AsyncServiceClient(
-                self.host, self.port, token=self.token, retry=self.retry
-            )
-            try:
-                return await spare.result(digest)
-            finally:
-                await spare.close()
-
-        backup = asyncio.ensure_future(hedge())
-        pending = {primary, backup}
-        last_exc = None
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    if task.cancelled():
-                        continue
-                    if task.exception() is None:
-                        return task.result()
-                    last_exc = task.exception()
-            raise last_exc
-        finally:
-            for task in (primary, backup):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(primary, backup, return_exceptions=True)
-            if primary.cancelled():
-                # The primary was torn down mid-read; its keep-alive
-                # stream may hold a half response — never reuse it.
-                self._drop_connection()
+        status, _headers, result = await self._exchange(
+            "GET", "/v1/jobs/%s/result" % digest, b"", None,
+            decode=_decode_payload,
+        )
+        return None if status == 202 else result
 
     async def list_jobs(self, state: str | None = None,
                         code: str | None = None,
@@ -826,31 +705,51 @@ class AsyncServiceClient:
 
 
 class ServiceClient:
-    """Blocking HTTP client (stdlib ``http.client``), same surface.
+    """Blocking HTTP client: an :class:`AsyncServiceClient` on a private loop.
 
     For scripts, tests, and notebooks that are not async — the CI smoke
-    job drives the server through this class.
+    job drives the server through this class.  Each method runs the
+    :class:`AsyncServiceClient` method of the same name on an event loop
+    this client owns on a daemon thread, so the keep-alive connection
+    survives across calls and the client works from a thread that
+    already runs a loop (Jupyter's main thread does).  ``timeout`` caps
+    each attempt — connect, send, response head and body — like
+    :attr:`RetryPolicy.request_timeout`; when both are set, the smaller
+    wins.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8140,
                  token: str | None = None, timeout: float = 60.0,
                  retry: RetryPolicy | None = None,
                  deadline: float | None = None) -> None:
-        self.host = host
-        self.port = port
-        self.token = token
-        self.timeout = timeout
-        #: Same semantics as :class:`AsyncServiceClient` — ``None`` keeps
-        #: the legacy reconnect-once behavior.
-        self.retry = retry
-        self.deadline = deadline
-        self._rng = retry.rng() if retry is not None else random.Random()
-        self._conn: http.client.HTTPConnection | None = None
+        policy = retry or _RECONNECT_ONCE
+        if timeout is not None and (policy.request_timeout is None
+                                    or timeout < policy.request_timeout):
+            policy = dataclasses.replace(policy, request_timeout=timeout)
+        self._client = AsyncServiceClient(
+            host, port, token=token, retry=policy, deadline=deadline
+        )
+        self._runner: _LoopThread | None = None
+
+    def _call(self, coroutine):
+        if self._runner is None:
+            self._runner = _LoopThread("repro-service-client")
+        future = asyncio.run_coroutine_threadsafe(
+            coroutine, self._runner.loop
+        )
+        try:
+            return future.result()
+        except BaseException:
+            # Interrupted (Ctrl-C): abandon the call, so that no later
+            # call shares the connection with it.
+            future.cancel()
+            raise
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._runner is not None:
+            self._call(self._client.close())
+            self._runner.close()
+            self._runner = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -858,234 +757,32 @@ class ServiceClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _roundtrip(self, method: str, path: str, body: bytes,
-                   extra_headers: dict | None = None):
-        if self._conn is None:
-            timeout = self.timeout
-            if self.retry is not None \
-                    and self.retry.request_timeout is not None:
-                timeout = min(timeout, self.retry.request_timeout)
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout
-            )
-        headers = {"Content-Type": "application/json"} if body else {}
-        if self.token:
-            headers["Authorization"] = "Bearer %s" % self.token
-        headers.update(extra_headers or {})
-        self._conn.request(method, path, body=body or None, headers=headers)
-        response = self._conn.getresponse()
-        payload = response.read()
-        response_headers = {
-            name.lower(): value for name, value in response.getheaders()
-        }
-        return response.status, response_headers, payload
-
     def request(self, method: str, path: str, tree=None,
                 deadline: float | None = None):
-        body = json.dumps(tree).encode() if tree is not None else b""
-        budget = deadline if deadline is not None else self.deadline
-        deadline_at = None if budget is None else time.monotonic() + budget
-
-        def deadline_headers():
-            if deadline_at is None:
-                return {}
-            remaining = deadline_at - time.monotonic()
-            return {"X-Deadline-Ms": "%d" % max(1, int(remaining * 1000))}
-
-        # A stalled socket is a transport failure too: http.client raises
-        # socket.timeout (an OSError) once the connection timeout fires.
-        transport_errors = (
-            ConnectionError, http.client.HTTPException, OSError, ValueError,
-        )
-
-        if self.retry is None:
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                raise _expired(attempts=0)
-            try:
-                status, headers, payload = self._roundtrip(
-                    method, path, body, deadline_headers()
-                )
-            except transport_errors:
-                self.close()
-                status, headers, payload = self._roundtrip(
-                    method, path, body, deadline_headers()
-                )
-            return self._finish(status, headers, payload, attempts=1)
-
-        attempt = 0
-        while True:
-            attempt += 1
-            if deadline_at is not None and time.monotonic() >= deadline_at:
-                raise _expired(attempts=attempt - 1)
-            try:
-                status, headers, payload = self._roundtrip(
-                    method, path, body, deadline_headers()
-                )
-            except transport_errors:
-                self.close()
-                if attempt >= self.retry.attempts:
-                    raise
-                pause = self._pause(attempt, None, deadline_at)
-                if pause is None:
-                    raise
-                time.sleep(pause)
-                continue
-            try:
-                return self._finish(status, headers, payload,
-                                    attempts=attempt)
-            except ServiceHTTPError as exc:
-                if exc.status not in self.retry.statuses \
-                        or attempt >= self.retry.attempts:
-                    raise
-                pause = self._pause(attempt, exc.retry_after, deadline_at)
-                if pause is None:
-                    raise
-                time.sleep(pause)
-            except ValueError:
-                # Complete-but-corrupted payload: retry like a torn wire.
-                self.close()
-                if attempt >= self.retry.attempts:
-                    raise
-                pause = self._pause(attempt, None, deadline_at)
-                if pause is None:
-                    raise
-                time.sleep(pause)
-
-    def _pause(self, attempt, retry_after, deadline_at):
-        pause = self.retry.delay(attempt, self._rng, retry_after=retry_after)
-        if deadline_at is not None \
-                and time.monotonic() + pause >= deadline_at:
-            return None
-        return pause
-
-    def _finish(self, status, headers, payload, attempts):
-        if headers.get("connection", "").lower() == "close":
-            self.close()
-        content_type = headers.get("content-type", "")
-        if content_type.startswith("application/json"):
-            parsed = json.loads(payload.decode() or "null")
-        else:
-            parsed = payload.decode()
-        if status >= 400:
-            retry_after = headers.get("retry-after")
-            raise ServiceHTTPError(
-                status, parsed,
-                retry_after=float(retry_after) if retry_after else None,
-                attempts=attempts,
-            )
-        return status, headers, parsed
+        return self._call(self._client.request(method, path, tree, deadline))
 
     def submit(self, request: SimRequest, priority=None) -> dict:
-        from repro.service.http import request_to_wire
-
-        _status, _headers, body = self.request(
-            "POST", "/v1/jobs", request_to_wire(request, priority)
-        )
-        return body
-
-    def hedged_submit(self, request: SimRequest, priority=None,
-                      hedge_after: float = 0.05) -> dict:
-        """:meth:`submit`, hedged: race a spare connection after a wait.
-
-        Thread-based twin of :meth:`AsyncServiceClient.hedged_submit`,
-        safe for the same reason: a submit is idempotent by content
-        address, so the slower POST joins the faster one's job (or
-        hits the cache) and both acceptance bodies name the same
-        digest.  If the primary hasn't answered within ``hedge_after``
-        seconds a fresh connection issues the same POST; the first
-        answer wins and the loser's connection is closed (aborting its
-        blocked I/O) rather than waited for.
-        """
-        import concurrent.futures as cf
-
-        spare = ServiceClient(self.host, self.port, token=self.token,
-                              timeout=self.timeout, retry=self.retry)
-        skip_hedge = threading.Event()
-
-        def hedge():
-            if skip_hedge.wait(hedge_after):
-                return None  # primary answered first; never fired
-            return spare.submit(request, priority)
-
-        pool = cf.ThreadPoolExecutor(max_workers=2)
-        primary = pool.submit(self.submit, request, priority)
-        backup = pool.submit(hedge)
-        pending = {primary, backup}
-        winner = None
-        last_exc = None
-        try:
-            while pending and winner is None:
-                done, pending = cf.wait(
-                    pending, return_when=cf.FIRST_COMPLETED
-                )
-                for task in done:
-                    if task.exception() is None:
-                        body = task.result()
-                        if body is not None:
-                            winner = (task, body)
-                            break
-                    else:
-                        last_exc = task.exception()
-            if winner is None:
-                raise last_exc
-            return winner[1]
-        finally:
-            skip_hedge.set()
-            if winner is None or winner[0] is not primary:
-                # The primary lost (or everything failed) — its
-                # keep-alive stream may hold a half response; closing
-                # it also unblocks the straggler thread's read.
-                self.close()
-            spare.close()
-            pool.shutdown(wait=False)
+        return self._call(self._client.submit(request, priority))
 
     def job_status(self, digest: str) -> dict:
-        _status, _headers, body = self.request("GET", "/v1/jobs/%s" % digest)
-        return body
+        return self._call(self._client.job_status(digest))
 
     def result(self, digest: str):
-        attempts = self.retry.attempts if self.retry is not None else 1
-        for attempt in range(1, attempts + 1):
-            status, _headers, body = self.request(
-                "GET", "/v1/jobs/%s/result" % digest
-            )
-            if status == 202:
-                return None
-            try:
-                return _decode_payload(body)
-            except ValueError:
-                self.close()
-                if attempt >= attempts:
-                    raise
-                time.sleep(self.retry.delay(attempt, self._rng))
+        return self._call(self._client.result(digest))
 
     def list_jobs(self, state: str | None = None, code: str | None = None,
                   limit: int | None = None) -> dict:
         """``GET /v1/jobs`` operator listing (filtered, newest first)."""
-        _status, _headers, body = self.request(
-            "GET", _jobs_query(state, code, limit)
-        )
-        return body
+        return self._call(self._client.list_jobs(state, code, limit))
 
     def run(self, request: SimRequest, priority=None,
             poll_interval: float = 0.05, timeout: float = 300.0):
-        accepted = self.submit(request, priority)
-        digest = accepted["digest"]
-        deadline = time.monotonic() + timeout
-        while True:
-            result = self.result(digest)
-            if result is not None:
-                return result
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    "job %s not done within %.1fs" % (digest[:12], timeout)
-                )
-            time.sleep(poll_interval)
+        return self._call(self._client.run(
+            request, priority, poll_interval, timeout
+        ))
 
     def health(self) -> dict:
-        _status, _headers, body = self.request("GET", "/health")
-        return body
+        return self._call(self._client.health())
 
     def metrics(self) -> str:
-        _status, _headers, body = self.request("GET", "/metrics")
-        return body
+        return self._call(self._client.metrics())

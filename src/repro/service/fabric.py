@@ -1,14 +1,14 @@
 """Fabric tier: one coordinator, N persistent pull-based worker processes.
 
-:class:`FabricCoordinator` is a drop-in worker pool for the scheduler
-(same protocol as :class:`~repro.service.workers.WorkerPool`: ``submit``
-/ ``kill`` / ``live_workers`` / ``shutdown``), but instead of paying a
-process spawn per job it keeps N long-lived worker processes and feeds
-each one job at a time.  A persistent worker amortises interpreter
-start-up *and* keeps the in-process workload image cache warm across
-jobs — on a sweep (many machine configs over one workload) that cache
-is most of the per-job cost, which is where the fabric's throughput win
-comes from even before multi-core parallelism.
+:class:`FabricCoordinator` is the scheduler's process-worker pool (same
+protocol as the thread :class:`~repro.service.workers.WorkerPool`:
+``submit`` / ``kill`` / ``live_workers`` / ``shutdown``).  It keeps N
+long-lived worker processes and feeds each one job at a time.  A
+persistent worker amortises interpreter start-up *and* keeps the
+in-process workload image cache warm across jobs — on a sweep (many
+machine configs over one workload) that cache is most of the per-job
+cost, which is where the fabric's throughput comes from even before
+multi-core parallelism.
 
 Queue discipline — pull-based, coordinator-owned:
 
@@ -20,10 +20,10 @@ Queue discipline — pull-based, coordinator-owned:
   whose own deque is empty takes the oldest job from the longest
   sibling backlog.
 * Workers report outcomes through per-job files written with the
-  atomic-replace idiom (exactly :func:`~repro.service.workers._supervised_entry`),
-  never through a worker-written pipe: a SIGKILL mid-job can tear a
-  pipe write and wedge the reader, while a missing outcome file plus a
-  dead process is an unambiguous crash.
+  atomic-replace idiom (:func:`_supervised_entry`), never through a
+  worker-written pipe: a SIGKILL mid-job can tear a pipe write and
+  wedge the reader, while a missing outcome file plus a dead process is
+  an unambiguous crash.
 * The coordinator's dispatcher thread sleeps until something happens.
   It blocks on every live worker's sentinel (readable once the process
   dies), on a per-worker *done* pipe the worker rings with one byte
@@ -36,9 +36,8 @@ Queue discipline — pull-based, coordinator-owned:
   covers a lost ring.  A dead worker's sentinel stays readable, so it
   leaves the wait set once its death is handled.
 
-Failure semantics are identical to per-job supervised mode — the whole
-point, since the scheduler's retry/quarantine/breaker logic must not
-care which pool it drives:
+Failure semantics follow the scheduler's failure taxonomy, so its
+retry/quarantine/breaker logic never cares which pool it drives:
 
 * clean simulation errors arrive as
   :class:`~repro.service.workers.JobExecutionError` with the original
@@ -78,7 +77,7 @@ from concurrent.futures import Future
 
 from repro.experiments.parallel import CODE_WORKER_CRASHED
 
-from .workers import JobExecutionError, WorkerCrashed, _supervised_entry
+from .workers import JobExecutionError, WorkerCrashed, execute_job
 
 __all__ = ["FABRIC_MODE", "FabricCoordinator"]
 
@@ -93,15 +92,35 @@ _BACKSTOP = 1.0
 _DRAIN_GRACE = 10.0
 
 
+def _supervised_entry(spec: dict, outcome_path: str) -> None:
+    """Run one job in a worker process, atomically persist the outcome.
+
+    The outcome file only ever appears complete (same-dir temp +
+    ``os.replace``), so the coordinator can treat "process exited, no
+    outcome" as a crash with no torn-write ambiguity.  Clean exceptions
+    are persisted as ``("error", "TypeName: message")`` rather than
+    re-raised: a dying worker and a failing job must stay
+    distinguishable.
+    """
+    try:
+        outcome = execute_job(spec)
+    except Exception as exc:  # noqa: BLE001 - relay any simulation error
+        outcome = ("error", "%s: %s" % (type(exc).__name__, exc))
+    tmp = "%s.tmp.%d" % (outcome_path, os.getpid())
+    with open(tmp, "wb") as handle:
+        pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, outcome_path)
+
+
 def _fabric_worker_main(name: str, job_q, parent_pid: int, done) -> None:
     """Persistent worker loop: pull one job, run it, persist the outcome.
 
-    The outcome write is `_supervised_entry` — same atomic idiom, same
-    ``("error", "TypeName: message")`` relay for clean failures — so a
-    fabric worker is byte-for-byte the supervised execution path, just
-    long-lived.  Once the outcome file is in place the worker rings its
-    *done* pipe.  The loop also watches its parent: an orphaned worker
-    (coordinator SIGKILLed) exits instead of idling forever.
+    The outcome write is :func:`_supervised_entry`.  Once the outcome
+    file is in place the worker rings its *done* pipe.  The loop also
+    watches its parent: an orphaned worker (coordinator SIGKILLed)
+    exits instead of idling forever.
     """
     while True:
         try:
@@ -192,18 +211,12 @@ class _WorkerCell:
 class FabricCoordinator:
     """Pool-protocol front end over N persistent worker processes."""
 
-    MODES = (FABRIC_MODE,)
-
     def __init__(self, max_workers: int | None = None,
-                 mode: str = FABRIC_MODE, chaos: dict | None = None) -> None:
-        if mode != FABRIC_MODE:
-            raise ValueError("FabricCoordinator only runs mode=%r"
-                             % FABRIC_MODE)
+                 chaos: dict | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        self.mode = FABRIC_MODE
         self.max_workers = int(max_workers)
         #: Optional fabric-level chaos profile stamped into every spec's
         #: ``chaos`` dict (test harness only): adds the executing
@@ -366,8 +379,7 @@ class FabricCoordinator:
                     self._resolve(pending)
                 elif not cell.process.is_alive():
                     # Died mid-job (chaos, the reaper's kill, a real
-                    # crash): the scheduler sees the same WorkerCrashed
-                    # a per-job supervised worker would raise.
+                    # crash): the scheduler sees WorkerCrashed.
                     cell.inflight = None
                     self._fail_crashed(pending, cell)
                     if not self._stopping and not cell.draining:

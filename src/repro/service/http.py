@@ -58,12 +58,7 @@ harness for all of it):
 * **per-token rate limiting** (``rate_limit`` requests/sec, token
   bucket with a burst allowance) wired into the existing typed-429 +
   ``Retry-After`` path — keyed by bearer token, or by peer address when
-  auth is off; with ``adaptive_rate`` the bucket's refill additionally
-  tracks the scheduler's own drain-rate estimate
-  (:meth:`~repro.service.scheduler.SimulationService.retry_after_hint`)
-  whenever a backlog exists, so admission slows to match what the
-  workers can actually absorb — the static ``rate_limit`` stays as the
-  ceiling, and an empty queue restores it in full;
+  auth is off;
 * **deadline propagation** — clients send ``X-Deadline-Ms`` (remaining
   budget); an already-expired deadline is shed with a typed 504 before
   any work happens, and the scheduler caps the job's wall-clock timeout
@@ -395,7 +390,6 @@ class ServiceHTTPServer:
         body_timeout: float | None = 10.0,
         rate_limit: float | None = None,
         rate_burst: float | None = None,
-        adaptive_rate: bool = False,
     ) -> None:
         self.service = service
         self.host = host
@@ -415,10 +409,6 @@ class ServiceHTTPServer:
         self.rate_burst = rate_burst if rate_burst is not None else (
             max(1.0, 2.0 * rate_limit) if rate_limit else 1.0
         )
-        #: When true, the bucket refills at the scheduler's observed
-        #: drain rate while a backlog exists (``rate_limit`` remains the
-        #: ceiling; with no static limit the drain rate alone governs).
-        self.adaptive_rate = bool(adaptive_rate)
         self._jobs: dict = {}  # digest -> _JobRecord, insertion-ordered
         self._server: asyncio.AbstractServer | None = None
         self._connections: set = set()
@@ -602,35 +592,12 @@ class ServiceHTTPServer:
             )
         return millis / 1000.0
 
-    def _effective_rate(self) -> float | None:
-        """The refill rate the bucket runs at right now (req/s).
-
-        Static mode: the configured ``rate_limit`` (``None`` disables
-        the check).  Adaptive mode with an empty queue: the full static
-        rate (or no limit at all when none is configured — a drained
-        service has no reason to push back).  Adaptive mode with a
-        backlog: the scheduler's observed drain rate, capped by the
-        static limit — admitting faster than the workers settle jobs
-        only grows the queue until QueueFull does the same job more
-        rudely.
-        """
-        if not self.adaptive_rate:
-            return self.rate_limit
-        if self.service._queued <= 0:
-            return self.rate_limit
-        drain = 1.0 / self.service.retry_after_hint()
-        if self.rate_limit:
-            return min(self.rate_limit, drain)
-        return drain
-
     def _rate_check(self, headers) -> None:
         """Token-bucket rate limiting per bearer token (429 + Retry-After)."""
-        if not self.rate_limit and not self.adaptive_rate:
-            return
-        rate = self._effective_rate()
+        rate = self.rate_limit
         if not rate:
             return
-        burst = self.rate_burst if self.rate_limit else max(1.0, 2.0 * rate)
+        burst = self.rate_burst
         value = headers.get("authorization", "")
         _, _, token = value.partition(" ")
         key = token.strip() or "anonymous"
@@ -1044,9 +1011,8 @@ class ServiceHTTPServer:
                "HTTP connections currently open")
         metric("connections_limit", self.max_connections,
                "connection cap before refusal")
-        if self.rate_limit or self.adaptive_rate:
-            metric("rate_limit_effective",
-                   float(self._effective_rate() or 0.0),
+        if self.rate_limit:
+            metric("rate_limit_effective", float(self.rate_limit),
                    "bucket refill rate in force (0 = unlimited)")
         metric("draining", 1 if self._draining else 0,
                "1 while the server is draining connections")

@@ -40,7 +40,7 @@ worker, process, or store entry may die at any moment and the system
 recomputes and converges.  Three mechanisms turn that from a slogan
 into behaviour:
 
-* **Worker supervision** — under process workers with a
+* **Worker supervision** — under fabric workers with a
   ``stall_timeout``, every execution heartbeats into a per-digest file
   (:mod:`repro.service.workers`); a reaper task kills + requeues any
   worker whose heartbeat goes silent past the stall window.  This is a
@@ -643,11 +643,10 @@ class SimulationService:
         scheduling still apply).  A path whose root carries a
         ``shardmap.json`` opens as a sharded store automatically.
     max_workers / worker_mode:
-        Size and kind of the worker tier: ``"thread"``, ``"process"``
-        (one supervised process per job), or ``"fabric"`` (N persistent
-        pull-based worker processes behind a
-        :class:`~repro.service.fabric.FabricCoordinator` — same failure
-        taxonomy, amortised spawn and workload-build cost).
+        Size and kind of the worker tier: ``"thread"`` (in-process
+        threads) or ``"fabric"`` (N persistent pull-based worker
+        processes behind a
+        :class:`~repro.service.fabric.FabricCoordinator`).
     max_pending:
         Bound on *queued* (not yet running) jobs; beyond it submissions
         raise :class:`QueueFull`.
@@ -655,7 +654,7 @@ class SimulationService:
         Per-execution wall-clock limit and retry policy (shared
         semantics with :func:`repro.experiments.parallel.run_sweep`).
     stall_timeout:
-        Heartbeat stall window for process workers: a worker whose
+        Heartbeat stall window for fabric workers: a worker whose
         heartbeat goes silent this long is killed and its job retried
         (code ``worker_stalled``).  Orthogonal to ``job_timeout`` — a
         worker making progress heartbeats forever; a wedged one is
@@ -694,6 +693,11 @@ class SimulationService:
         snapshot_every: int | None = None,
         snapshot_dir: str | None = None,
     ) -> None:
+        if worker_mode not in ("thread", FABRIC_MODE):
+            raise ValueError(
+                "worker_mode must be 'thread' or 'fabric', got %r"
+                % (worker_mode,)
+            )
         if isinstance(store, str):
             store = open_store(store)
         self.store = store
@@ -727,12 +731,8 @@ class SimulationService:
         if worker_mode == FABRIC_MODE:
             self._pool = FabricCoordinator(max_workers=max_workers)
         else:
-            self._pool = WorkerPool(
-                max_workers=max_workers, mode=worker_mode
-            )
-        self._supervised = (
-            worker_mode in ("process", FABRIC_MODE) and stall_timeout
-        )
+            self._pool = WorkerPool(max_workers=max_workers)
+        self._supervised = worker_mode == FABRIC_MODE and stall_timeout
         self._hb_dir = None
         if self._supervised:
             # Heartbeats are transient runtime state, never persisted
@@ -1208,7 +1208,7 @@ class SimulationService:
                     else:
                         error = "timed out after %.1fs" % timeout
                         code = CODE_TIMEOUT
-                    # A timed-out process worker is killed, not leaked:
+                    # A timed-out fabric worker is killed, not leaked:
                     # its tardy result must never land, and its seat
                     # frees immediately.  (Thread workers cannot be
                     # killed; their results are simply discarded.)

@@ -1,9 +1,9 @@
-"""Worker tier: executes one service job, in a thread or a supervised process.
+"""Worker tier: executes one service job, in a thread or a fabric process.
 
 The scheduler never touches a simulator directly; it serializes each
 :class:`~repro.service.request.SimRequest` into a plain job *spec* dict
-(picklable, so the same spec runs under a thread or a process worker)
-and hands it to :func:`execute_job`.  A job returns either
+(picklable, so the same spec runs under a thread or a fabric worker
+process) and hands it to :func:`execute_job`.  A job returns either
 
 * ``("done", result, meta)`` — the completed
   :class:`~repro.core.results.TimingResult` /
@@ -20,22 +20,19 @@ the job digest) so it works identically for thread and process workers:
 the scheduler touches the flag, the running job observes it at its next
 snapshot boundary.
 
-**Supervised process mode (crash-only).**  ``mode="process"`` spawns one
-supervised ``multiprocessing.Process`` per job instead of sharing a
-``ProcessPoolExecutor`` — a pool executor is the wrong shape for a
-crash-only tier, because one SIGKILLed worker breaks the whole pool for
-every later job.  Each supervised worker:
+:class:`WorkerPool` runs jobs on in-process threads: the library and
+test path.  Process workers are the fabric's
+(:class:`~repro.service.fabric.FabricCoordinator`); both pools answer
+the same protocol (``submit`` / ``kill`` / ``live_workers`` /
+``shutdown``), so the scheduler never branches on which one it drives.
+When the spec carries ``supervise``, :func:`execute_job` touches a
+per-digest heartbeat file every ``interval`` seconds from a daemon
+thread, so the scheduler's reaper can tell a fabric worker that is
+*computing* from one that is *wedged* (no heartbeat within the stall
+window) and kill + requeue it — a liveness check orthogonal to the
+wall-clock ``job_timeout``.
 
-* writes its outcome to a scratch file with the repo's atomic-replace
-  idiom, so a watcher that finds no outcome *knows* the process died
-  mid-job rather than racing a partial write;
-* when the spec carries ``supervise``, touches a per-digest heartbeat
-  file every ``interval`` seconds from a daemon thread, so the
-  scheduler's reaper can tell a worker that is *computing* from one that
-  is *wedged* (no heartbeat within the stall window) and kill + requeue
-  it — a liveness check orthogonal to the wall-clock ``job_timeout``.
-
-A worker that dies without an outcome resolves its future with
+A process worker that dies without an outcome resolves its future with
 :class:`WorkerCrashed` carrying a failure-taxonomy code
 (:data:`~repro.experiments.parallel.CODE_WORKER_CRASHED`, or the code
 the reaper recorded when it did the killing).  A clean simulation
@@ -51,11 +48,7 @@ service is the always-on face of the same worker discipline.
 from __future__ import annotations
 
 import concurrent.futures
-import multiprocessing
 import os
-import pickle
-import shutil
-import tempfile
 import threading
 
 from repro.configio import machine_config_from_dict
@@ -78,7 +71,7 @@ class WorkerCrashed(Exception):
 
     ``code`` is the failure-taxonomy code: ``worker_crashed`` for a
     spontaneous death, ``worker_stalled`` / ``timeout`` when the
-    scheduler killed it on purpose (recorded via ``WorkerPool.kill``).
+    scheduler killed it on purpose (recorded via the fabric's ``kill``).
     """
 
     def __init__(self, message: str, code: str = CODE_WORKER_CRASHED,
@@ -278,169 +271,35 @@ def _meta(spec: dict, workload, started) -> dict:
     }
 
 
-def _supervised_entry(spec: dict, outcome_path: str) -> None:
-    """Process-worker main: run the job, atomically persist the outcome.
-
-    The outcome file only ever appears complete (same-dir temp +
-    ``os.replace``), so the watcher can treat "process exited, no
-    outcome" as a crash with no torn-write ambiguity.  Clean exceptions
-    are persisted as ``("error", "TypeName: message")`` rather than
-    re-raised: a dying worker and a failing job must stay
-    distinguishable.
-    """
-    try:
-        outcome = execute_job(spec)
-    except Exception as exc:  # noqa: BLE001 - relay any simulation error
-        outcome = ("error", "%s: %s" % (type(exc).__name__, exc))
-    tmp = "%s.tmp.%d" % (outcome_path, os.getpid())
-    with open(tmp, "wb") as handle:
-        pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, outcome_path)
-
-
-class _SupervisedJob:
-    """Bookkeeping for one in-flight supervised process worker."""
-
-    __slots__ = ("digest", "process", "future", "outcome_path", "kill_code")
-
-    def __init__(self, digest, process, future, outcome_path) -> None:
-        self.digest = digest
-        self.process = process
-        self.future = future
-        self.outcome_path = outcome_path
-        #: Failure code recorded by ``WorkerPool.kill`` before the
-        #: SIGKILL, so the watcher reports *why* the worker died.
-        self.kill_code = None
-
-
 class WorkerPool:
-    """Executes job specs: ``mode`` picks threads or supervised processes.
+    """Executes job specs on in-process threads.
 
     Thread workers share the in-process workload image cache (cheap,
-    GIL-bound — right for cache-heavy serving); process workers give
-    real CPU parallelism *and* kill-ability: each job runs in its own
-    supervised process, so the scheduler can SIGKILL a wedged or
-    timed-out worker (:meth:`kill`) without poisoning anything shared.
+    GIL-bound): the library and test path.  A thread cannot be killed,
+    so :meth:`kill` always answers ``False`` and a timed-out job's
+    result is simply discarded.
     """
 
-    MODES = ("thread", "process")
-
-    def __init__(self, max_workers: int = 1, mode: str = "thread") -> None:
-        if mode not in self.MODES:
-            raise ValueError(
-                "worker mode must be one of %s, got %r"
-                % (", ".join(self.MODES), mode)
-            )
+    def __init__(self, max_workers: int = 1) -> None:
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        self.mode = mode
         self.max_workers = max_workers
-        self._executor = None
-        self._jobs: dict = {}  # digest -> _SupervisedJob
-        self._lock = threading.Lock()
-        self._seq = 0
-        self._scratch = None
-        if mode == "thread":
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix="repro-service-worker",
-            )
-        else:
-            self._scratch = tempfile.mkdtemp(prefix="repro-workers-")
+        self._executor = concurrent.futures.ThreadPoolExecutor(
+            max_workers=max_workers,
+            thread_name_prefix="repro-service-worker",
+        )
 
     def submit(self, spec: dict) -> concurrent.futures.Future:
-        if self.mode == "thread":
-            return self._executor.submit(execute_job, spec)
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        future.set_running_or_notify_cancel()
-        with self._lock:
-            self._seq += 1
-            outcome_path = os.path.join(
-                self._scratch, "%s.%d.out" % (spec["digest"], self._seq)
-            )
-        process = multiprocessing.Process(
-            target=_supervised_entry, args=(spec, outcome_path),
-            name="repro-worker-%s" % spec["digest"][:8], daemon=True,
-        )
-        job = _SupervisedJob(spec["digest"], process, future, outcome_path)
-        with self._lock:
-            self._jobs[job.digest] = job
-        process.start()
-        threading.Thread(
-            target=self._watch, args=(job,),
-            name="repro-watch-%s" % spec["digest"][:8], daemon=True,
-        ).start()
-        return future
-
-    def _watch(self, job: _SupervisedJob) -> None:
-        job.process.join()
-        with self._lock:
-            self._jobs.pop(job.digest, None)
-        outcome = None
-        try:
-            with open(job.outcome_path, "rb") as handle:
-                outcome = pickle.load(handle)
-            os.unlink(job.outcome_path)
-        except FileNotFoundError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - unreadable outcome = crash
-            job.future.set_exception(WorkerCrashed(
-                "worker outcome unreadable: %s" % exc,
-                exitcode=job.process.exitcode,
-            ))
-            return
-        if outcome is None:
-            code = job.kill_code or CODE_WORKER_CRASHED
-            exitcode = job.process.exitcode
-            detail = ("killed by signal %d" % -exitcode
-                      if exitcode is not None and exitcode < 0
-                      else "exit code %s" % exitcode)
-            job.future.set_exception(WorkerCrashed(
-                "worker process died without an outcome (%s)" % detail,
-                code=code, exitcode=exitcode,
-            ))
-            return
-        if outcome[0] == "error":
-            job.future.set_exception(JobExecutionError(outcome[1]))
-            return
-        job.future.set_result(outcome)
+        return self._executor.submit(execute_job, spec)
 
     def kill(self, digest: str, code: str) -> bool:
-        """SIGKILL the worker running *digest*, recording *code* as why.
-
-        Returns whether a live worker was found.  The job's future then
-        resolves with :class:`WorkerCrashed` carrying *code* — the
-        normal crash path; killing is never a special case downstream.
-        """
-        with self._lock:
-            job = self._jobs.get(digest)
-            if job is None:
-                return False
-            job.kill_code = code
-        job.process.kill()
-        return True
+        """Threads cannot be killed: never finds a worker to kill."""
+        return False
 
     def live_workers(self) -> int:
-        """Supervised processes currently alive (0 in thread mode)."""
-        with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.process.is_alive()
-            )
+        """Worker processes alive: none, the workers are threads."""
+        return 0
 
     def shutdown(self, wait: bool = True) -> None:
-        if self.mode == "thread":
-            # cancel_futures guards against jobs sneaking in post-drain.
-            self._executor.shutdown(wait=wait, cancel_futures=True)
-            return
-        with self._lock:
-            jobs = list(self._jobs.values())
-        for job in jobs:
-            if wait:
-                job.process.join()
-            else:
-                job.process.kill()
-                job.process.join()
-        if self._scratch is not None:
-            shutil.rmtree(self._scratch, ignore_errors=True)
+        # cancel_futures guards against jobs sneaking in post-drain.
+        self._executor.shutdown(wait=wait, cancel_futures=True)

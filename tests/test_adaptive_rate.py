@@ -1,78 +1,28 @@
-"""Adaptive admission control: the token bucket follows the drain rate.
+"""Admission control: the per-token bucket refills at the configured rate.
 
-``_effective_rate`` is a pure function of (static limit, adaptive flag,
-queue depth, ``retry_after_hint``) and is unit-tested against a stub
-service.  The behavioural test runs the real bucket under a paced
-request stream and shows the operational claim from the issue: as the
-service drains slower, the 429 count **rises** — admission tracks what
-the workers can absorb instead of a number guessed at deploy time —
-while the static ``--rate-limit`` stays an absolute ceiling.
+The bucket is driven directly through ``_rate_check`` under a paced
+request stream against a stub service, so no socket is needed.  The
+static ``--rate-limit`` is the only refill rate: it is what the bucket
+enforces, what the 429 message names, and what the counter records.
 """
 
 import asyncio
-
-import pytest
 
 from repro.service.http import HttpError, ServiceHTTPServer
 
 
 class _StubService:
-    """Just enough scheduler surface for the admission-control path."""
-
-    def __init__(self, queued=0, hint=1.0):
-        self._queued = queued
-        self._hint = hint
-
-    def retry_after_hint(self):
-        return self._hint
+    """The HTTP server only stores the service for the rate-check path."""
 
 
 def _server(**kwargs):
-    return ServiceHTTPServer(kwargs.pop("service", _StubService()), **kwargs)
+    return ServiceHTTPServer(_StubService(), **kwargs)
 
 
-class TestEffectiveRate:
-    def test_static_mode_passes_the_configured_limit_through(self):
-        assert _server(rate_limit=50.0)._effective_rate() == 50.0
-        assert _server()._effective_rate() is None
-
-    def test_adaptive_with_empty_queue_runs_at_the_static_rate(self):
-        server = _server(
-            service=_StubService(queued=0, hint=10.0),
-            rate_limit=50.0, adaptive_rate=True,
-        )
-        assert server._effective_rate() == 50.0
-
-    def test_adaptive_with_no_limit_and_empty_queue_disables_the_check(self):
-        server = _server(
-            service=_StubService(queued=0), adaptive_rate=True
-        )
-        assert server._effective_rate() is None
-
-    def test_backlog_throttles_to_the_observed_drain_rate(self):
-        server = _server(
-            service=_StubService(queued=5, hint=0.1),
-            rate_limit=50.0, adaptive_rate=True,
-        )
-        assert server._effective_rate() == pytest.approx(10.0)
-
-    def test_static_limit_remains_the_ceiling(self):
-        server = _server(
-            service=_StubService(queued=5, hint=0.005),
-            rate_limit=50.0, adaptive_rate=True,
-        )
-        assert server._effective_rate() == 50.0
-
-    def test_without_static_limit_drain_rate_governs_alone(self):
-        server = _server(
-            service=_StubService(queued=5, hint=0.25), adaptive_rate=True
-        )
-        assert server._effective_rate() == pytest.approx(4.0)
-
-
-def _count_429s(server, calls=20, gap=0.02):
+def _drive_429s(server, calls=20, gap=0.02):
+    """Paced calls through the bucket; returns the 429 errors raised."""
     async def drive():
-        rejected = 0
+        errors = []
         headers = {"authorization": "Bearer sweeper"}
         for _ in range(calls):
             try:
@@ -80,40 +30,39 @@ def _count_429s(server, calls=20, gap=0.02):
             except HttpError as error:
                 assert error.status == 429
                 assert int(error.headers["Retry-After"]) >= 1
-                rejected += 1
+                errors.append(error)
             await asyncio.sleep(gap)
-        return rejected
+        return errors
 
     return asyncio.run(drive())
 
 
+class TestEffectiveRate:
+    def test_static_mode_passes_the_configured_limit_through(self):
+        limited = _server(rate_limit=50.0, rate_burst=1.0)
+        assert limited.rate_limit == 50.0
+        # Back-to-back calls: the burst token is spent, the next bounces
+        # and the rejection names the configured rate.
+        errors = _drive_429s(limited, calls=2, gap=0.0)
+        assert len(errors) == 1
+        assert "(50 req/s)" in str(errors[0])
+        # No limit configured: the check is off and nothing is rejected.
+        unlimited = _server()
+        assert unlimited.rate_limit is None
+        assert _drive_429s(unlimited, calls=10, gap=0.0) == []
+
+
 class TestBucketUnderDrainPressure:
-    def test_429s_rise_as_the_service_drains_slower(self):
-        def bucket(hint):
-            return _server(
-                service=_StubService(queued=5, hint=hint),
-                rate_limit=200.0, rate_burst=1.0, adaptive_rate=True,
-            )
-
-        # Fast drain (5 ms/job => 200/s): every 20 ms gap fully refills
-        # the bucket, so the paced stream is never rejected.
-        fast = _count_429s(bucket(0.005))
-        # Slow drain (500 ms/job => 2/s): refill is 0.04 tokens per
-        # gap, so nearly every call after the burst bounces.
-        slow = _count_429s(bucket(0.5))
-        assert fast == 0
-        assert slow > 10
-        assert slow > fast
-
     def test_429_counter_and_message_carry_the_effective_rate(self):
-        server = _server(
-            service=_StubService(queued=5, hint=0.5),
-            rate_limit=200.0, rate_burst=1.0, adaptive_rate=True,
-        )
-        rejected = _count_429s(server, calls=5)
-        assert rejected >= 3
-        assert server._hardening["rate_limited"] == rejected
+        server = _server(rate_limit=2.0, rate_burst=1.0)
+        # 2 req/s refills 0.04 tokens per 20 ms gap: after the single
+        # burst token nearly every call bounces.
+        errors = _drive_429s(server, calls=5)
+        assert len(errors) >= 3
+        assert server._hardening["rate_limited"] == len(errors)
+        assert all("(2 req/s)" in str(error) for error in errors)
+        assert all(error.code == "rate_limited" for error in errors)
 
     def test_static_only_bucket_still_enforces(self):
         server = _server(rate_limit=2.0, rate_burst=1.0)
-        assert _count_429s(server, calls=5) >= 3
+        assert len(_drive_429s(server, calls=5)) >= 3

@@ -1,13 +1,16 @@
-"""Retry, deadline, and hedging behavior of the HTTP clients.
+"""Retry, deadline, and per-attempt timeout behavior of the HTTP clients.
 
-The status-code paths run against a canned stub server (exact control
-over response sequences and received headers); the result-path tests
-(hedging, job listing) run against the real ``ServiceHTTPServer`` with
-real simulations behind it.
+The status-code, timeout and deadline paths run against a canned stub
+server (exact control over response sequences, pacing and received
+headers); the job-listing test runs against the real
+``ServiceHTTPServer`` with real simulations behind it.
 """
 
 import asyncio
+import contextlib
 import json
+import threading
+import time
 
 import pytest
 
@@ -20,8 +23,6 @@ from repro.service import (
     ServiceHTTPServer,
     SimRequest,
     SimulationService,
-    encode_result,
-    request_digest,
 )
 
 SCALE = 0.02
@@ -47,10 +48,14 @@ class StubServer:
     Every response carries ``Connection: close`` so each client attempt
     is a fresh connection (and a fresh ``hits`` increment).  Received
     request headers are recorded per hit for propagation assertions.
+    With ``trickle`` (seconds), the head goes out at once and the body
+    one byte per ``trickle``: every read is quick, the response slow.
     """
 
-    def __init__(self, script):
+    def __init__(self, script, trickle=None):
         self.script = script
+        self.trickle = trickle
+        self.handlers = set()
         self.hits = 0
         self.seen_headers = []
         self.port = None
@@ -66,8 +71,13 @@ class StubServer:
     async def __aexit__(self, *exc_info):
         self._server.close()
         await self._server.wait_closed()
+        # A trickling response can outlive the client that gave up on it.
+        for task in self.handlers:
+            task.cancel()
+        await asyncio.gather(*self.handlers, return_exceptions=True)
 
     async def _handle(self, reader, writer):
+        self.handlers.add(asyncio.current_task())
         try:
             headers = {}
             await reader.readline()  # request line
@@ -91,13 +101,19 @@ class StubServer:
                 "Content-Length: %d" % len(payload),
                 "Connection: close",
             ] + list(extra)
-            writer.write(
-                ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
-            )
+            writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+            if self.trickle is None:
+                writer.write(payload)
+            else:
+                for index in range(len(payload)):
+                    await writer.drain()
+                    await asyncio.sleep(self.trickle)
+                    writer.write(payload[index:index + 1])
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
+            self.handlers.discard(asyncio.current_task())
             try:
                 writer.close()
             except (ConnectionError, OSError):
@@ -107,6 +123,35 @@ class StubServer:
 #: Fast deterministic policy for stub scenarios.
 FAST = RetryPolicy(attempts=4, backoff=0.01, max_backoff=0.05,
                    jitter=0.0, seed=1)
+
+
+def _ok(hit):
+    return 200, {"status": "ok"}, []
+
+
+@contextlib.contextmanager
+def _stub_in_background(script, trickle=None):
+    """A :class:`StubServer` on an event loop of its own thread.
+
+    A blocking client waits in the calling thread, so the server it
+    talks to must run somewhere else.
+    """
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def call(coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, loop).result(30)
+
+    stub = StubServer(script, trickle=trickle)
+    call(stub.__aenter__())
+    try:
+        yield stub
+    finally:
+        call(stub.__aexit__())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
 
 
 class TestRetryPolicy:
@@ -289,67 +334,94 @@ class TestBlockingClientRetry:
             return 503, {"error": "down", "code": "service_closed"}, \
                 ["Retry-After: 0"]
 
-        import threading
-
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def runner():
-            asyncio.set_event_loop(loop)
-            ready.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        ready.wait()
-
-        def call(coroutine):
-            return asyncio.run_coroutine_threadsafe(coroutine, loop).result(30)
-
-        try:
-            stub = StubServer(flaky)
-            call(stub.__aenter__())
+        with _stub_in_background(flaky) as stub:
             with ServiceClient(port=stub.port, retry=FAST) as client:
                 status, _headers, body = client.request("GET", "/health")
             assert status == 200 and body == {"status": "ok"}
             assert stub.hits == 2
-            call(stub.__aexit__())
 
-            stub = StubServer(dead)
-            call(stub.__aenter__())
+        with _stub_in_background(dead) as stub:
             with ServiceClient(port=stub.port, retry=FAST) as client:
                 with pytest.raises(ServiceHTTPError) as excinfo:
                     client.request("GET", "/health")
             assert excinfo.value.attempts == FAST.attempts
-            call(stub.__aexit__())
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join()
-            loop.close()
 
 
-class TestHedgedResult:
-    def test_hedged_result_is_digest_identical(self, tmp_path):
+#: One attempt, capped at a second.
+CAPPED = RetryPolicy(attempts=1, request_timeout=1.0)
+
+
+class TestPerAttemptCap:
+    """The cap bounds a whole attempt, not each read: a response whose
+    bytes each arrive quickly but whose body takes ~4s is cut at ~1s."""
+
+    def test_async_client_caps_the_attempt(self):
         async def scenario():
-            service = SimulationService(str(tmp_path / "cache"))
-            server = ServiceHTTPServer(service, port=0)
-            await server.start()
-            client = AsyncServiceClient(port=server.port, retry=FAST)
-            plain = await client.run(_request())
-            hedged = await client.hedged_result(
-                request_digest(_request()), hedge_after=0.0
-            )
-            # The connection must still be usable after the race.
-            health = await client.health()
-            await client.close()
-            await server.close()
-            await service.shutdown(drain=False)
-            return plain, hedged, health
+            async with StubServer(_ok, trickle=0.25) as stub:
+                client = AsyncServiceClient(port=stub.port, retry=CAPPED)
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    await client.request("GET", "/health")
+                elapsed = time.monotonic() - started
+                await client.close()
+                return elapsed
 
-        plain, hedged, health = _drive(scenario())
-        assert (encode_result(hedged)["digest"]
-                == encode_result(plain)["digest"])
-        assert health["status"] == "ok"
+        assert _drive(scenario()) < 2.5
+
+    @pytest.mark.parametrize("retry, timeout", [
+        (CAPPED, 60.0),                     # the policy's cap
+        (RetryPolicy(attempts=1), 1.0),     # the client's own timeout
+    ])
+    def test_blocking_client_caps_the_attempt(self, retry, timeout):
+        with _stub_in_background(_ok, trickle=0.25) as stub:
+            with ServiceClient(port=stub.port, timeout=timeout,
+                               retry=retry) as client:
+                started = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.request("GET", "/health")
+                elapsed = time.monotonic() - started
+        assert elapsed < 2.5
+
+
+def _wrong_digest(hit):
+    # Parses as a functional result; its state digest does not match.
+    return 200, {"kind": "functional", "state": {"name": "x"},
+                 "digest": "0" * 32}, []
+
+
+#: Backoffs of 2s, 4s, 5s: each far beyond the deadline below.
+SLOW = RetryPolicy(attempts=4, backoff=2.0, max_backoff=5.0, jitter=0.0)
+
+
+class TestResultDeadline:
+    """One deadline covers result()'s digest retries and their backoffs."""
+
+    def test_async_result_stops_when_the_backoff_would_overrun(self):
+        async def scenario():
+            async with StubServer(_wrong_digest) as stub:
+                client = AsyncServiceClient(port=stub.port, retry=SLOW,
+                                            deadline=0.3)
+                started = time.monotonic()
+                with pytest.raises(ValueError, match="digest mismatch"):
+                    await client.result("ab" * 16)
+                elapsed = time.monotonic() - started
+                await client.close()
+                return elapsed, stub.hits
+
+        elapsed, hits = _drive(scenario())
+        assert elapsed < 1.0
+        assert hits == 1
+
+    def test_blocking_result_stops_when_the_backoff_would_overrun(self):
+        with _stub_in_background(_wrong_digest) as stub:
+            with ServiceClient(port=stub.port, retry=SLOW,
+                               deadline=0.3) as client:
+                started = time.monotonic()
+                with pytest.raises(ValueError, match="digest mismatch"):
+                    client.result("ab" * 16)
+                elapsed = time.monotonic() - started
+            assert stub.hits == 1
+        assert elapsed < 1.0
 
 
 class TestListJobs:
@@ -391,88 +463,3 @@ class TestListJobs:
         # Newest first: the failed submit is the most recent record.
         assert everything["jobs"][0]["state"] == "failed"
         assert bad_state.status == 400
-
-
-class TestHedgedSubmit:
-    def test_async_hedged_submit_runs_the_job_exactly_once(self, tmp_path):
-        async def scenario():
-            service = SimulationService(str(tmp_path / "cache"))
-            server = ServiceHTTPServer(service, port=0)
-            await server.start()
-            client = AsyncServiceClient(port=server.port, retry=FAST)
-            body = await client.hedged_submit(_request(), hedge_after=0.0)
-            for _ in range(400):
-                status = await client.job_status(body["digest"])
-                if status["state"] == "done":
-                    break
-                await asyncio.sleep(0.05)
-            result = await client.result(body["digest"])
-            # A plain run of the same request must be served from cache
-            # with the identical result body.
-            plain = await client.run(_request())
-            # The racing submits are idempotent by content address: the
-            # loser joined the winner's job instead of starting its own.
-            executed = service.status().executed
-            health = await client.health()
-            await client.close()
-            await server.close()
-            await service.shutdown(drain=False)
-            return body, result, plain, executed, health
-
-        body, result, plain, executed, health = _drive(scenario())
-        assert body["digest"] == request_digest(_request())
-        assert encode_result(result)["digest"] == encode_result(plain)["digest"]
-        assert executed == 1
-        assert health["status"] == "ok"
-
-    def test_blocking_hedged_submit_from_a_plain_thread(self, tmp_path):
-        import threading
-
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def runner():
-            asyncio.set_event_loop(loop)
-            ready.set()
-            loop.run_forever()
-
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        ready.wait()
-
-        def call(coroutine):
-            return asyncio.run_coroutine_threadsafe(coroutine, loop).result(60)
-
-        async def boot():
-            service = SimulationService(str(tmp_path / "cache"))
-            server = ServiceHTTPServer(service, port=0)
-            await server.start()
-            return service, server
-
-        try:
-            service, server = call(boot())
-            with ServiceClient(port=server.port, retry=FAST) as client:
-                body = client.hedged_submit(_request(seed=3), hedge_after=0.0)
-                assert body["digest"] == request_digest(_request(seed=3))
-                for _ in range(400):
-                    if client.job_status(body["digest"])["state"] == "done":
-                        break
-                    import time
-                    time.sleep(0.05)
-                result = client.result(body["digest"])
-                plain = client.run(_request(seed=3))
-                assert (encode_result(result)["digest"]
-                        == encode_result(plain)["digest"])
-                # The client connection survives the hedge race.
-                assert client.health()["status"] == "ok"
-            assert call(_snap_executed(service)) == 1
-            call(server.close())
-            call(service.shutdown(drain=False))
-        finally:
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join()
-            loop.close()
-
-
-async def _snap_executed(service):
-    return service.status().executed

@@ -294,8 +294,10 @@ class TestRateLimiting:
         # Three burst tokens spent on 404s, then the bucket is empty.
         assert outcomes == [404, 404, 404, 429]
         assert limited.code == "rate_limited"
+        assert "(2 req/s)" in str(limited)
         assert limited.retry_after is not None and limited.retry_after > 0
         assert "repro_service_http_rate_limited_total 1" in metrics
+        assert "repro_service_rate_limit_effective 2\n" in metrics
 
     def test_probes_are_never_rate_limited(self, tmp_path):
         async def scenario():

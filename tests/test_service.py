@@ -300,6 +300,8 @@ class TestStatusReport:
             SimulationService(str(tmp_path / "c"), snapshot_every=-5)
         with pytest.raises(ValueError, match="snapshot_dir"):
             SimulationService(store=None, snapshot_every=1000)
+        with pytest.raises(ValueError, match="'thread' or 'fabric'"):
+            SimulationService(str(tmp_path / "c"), worker_mode="process")
 
 
 class TestClientSession:

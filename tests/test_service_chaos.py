@@ -68,7 +68,7 @@ class TestStormConvergence:
             profile = infra_storm(seed=17)
             store = ChaosStore(str(tmp_path / "storm"), profile)
             service = SimulationService(
-                store, max_workers=2, worker_mode="process",
+                store, max_workers=2, worker_mode="fabric",
                 retries=10, stall_timeout=1.0, chaos=profile,
                 breaker_threshold=None,
             )
@@ -149,7 +149,7 @@ class TestStormObservability:
         async def scenario():
             store = ChaosStore(str(tmp_path / "cache"), profile)
             service = SimulationService(
-                store, max_workers=2, worker_mode="process",
+                store, max_workers=2, worker_mode="fabric",
                 retries=10, stall_timeout=1.0, chaos=profile,
                 breaker_threshold=None,
             )

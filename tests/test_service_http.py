@@ -270,7 +270,20 @@ class TestFailureTaxonomyOverHTTP:
 
 
 class TestTypedBackpressure:
-    def test_queue_full_is_429_with_retry_after(self, tmp_path):
+    def test_queue_full_is_429_with_retry_after(self, tmp_path, monkeypatch):
+        from repro.service import workers
+
+        # The one worker holds its job until the third submit is
+        # answered; a job that finished first would free the queue.
+        release = threading.Event()
+        execute = workers.execute_job
+
+        def held(spec):
+            release.wait(60)
+            return execute(spec)
+
+        monkeypatch.setattr(workers, "execute_job", held)
+
         async def scenario():
             service, server = await _serving(
                 tmp_path, max_workers=1, max_pending=1
@@ -278,8 +291,11 @@ class TestTypedBackpressure:
             client = AsyncServiceClient(port=server.port)
             await client.submit(_request(seed=1))  # running
             await client.submit(_request(seed=2))  # queued (fills the queue)
-            with pytest.raises(ServiceHTTPError) as excinfo:
-                await client.submit(_request(seed=3))
+            try:
+                with pytest.raises(ServiceHTTPError) as excinfo:
+                    await client.submit(_request(seed=3))
+            finally:
+                release.set()
             # Drain so shutdown doesn't cancel running work.
             await client.run(_request(seed=1))
             await client.run(_request(seed=2))
@@ -427,38 +443,55 @@ class TestObservability:
         assert "# TYPE repro_service_queue_depth gauge" in metrics
 
 
+@pytest.fixture
+def background_server(tmp_path):
+    """A real server on an event loop of its own thread.
+
+    A blocking client call waits in the calling thread, so the server it
+    talks to must run somewhere else.
+    """
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def call(coroutine):
+        return asyncio.run_coroutine_threadsafe(coroutine, loop).result(60)
+
+    service, server = call(_serving(tmp_path))
+    try:
+        yield server
+    finally:
+        call(_teardown(service, server))
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+
 class TestBlockingClient:
-    def test_blocking_client_round_trip_on_background_loop(self, tmp_path):
-        loop = asyncio.new_event_loop()
-        ready = threading.Event()
+    def test_blocking_client_round_trip_on_background_loop(
+        self, background_server
+    ):
+        with ServiceClient(port=background_server.port) as client:
+            cold = client.run(_request(), priority="interactive")
+            cached = client.run(_request())
+            health = client.health()
+            assert "repro_service_submitted_total" in client.metrics()
+        assert (encode_result(cold)["digest"]
+                == encode_result(cached)["digest"])
+        assert health["status"] == "ok"
 
-        def runner():
-            asyncio.set_event_loop(loop)
-            ready.set()
-            loop.run_forever()
+    def test_blocking_client_inside_a_running_event_loop(
+        self, background_server
+    ):
+        # Jupyter runs an event loop in the main thread: the blocking
+        # client must work there without running a loop of its own on it.
+        async def inside():
+            with ServiceClient(port=background_server.port) as client:
+                return client.run(_request()), client.health()
 
-        thread = threading.Thread(target=runner, daemon=True)
-        thread.start()
-        ready.wait()
-
-        def call(coroutine):
-            return asyncio.run_coroutine_threadsafe(coroutine, loop).result(60)
-
-        service, server = call(_serving(tmp_path))
-        try:
-            with ServiceClient(port=server.port) as client:
-                cold = client.run(_request(), priority="interactive")
-                cached = client.run(_request())
-                health = client.health()
-                assert "repro_service_submitted_total" in client.metrics()
-            assert (encode_result(cold)["digest"]
-                    == encode_result(cached)["digest"])
-            assert health["status"] == "ok"
-        finally:
-            call(_teardown(service, server))
-            loop.call_soon_threadsafe(loop.stop)
-            thread.join()
-            loop.close()
+        result, health = asyncio.run(inside())
+        assert result.uops > 0
+        assert health["status"] == "ok"
 
 
 class TestLoadGenerator:

@@ -1,6 +1,6 @@
-"""Supervised process workers: crashes, stalls, quarantine, breaker.
+"""Supervised fabric workers: crashes, stalls, quarantine, breaker.
 
-Every test drives *real* worker processes (fork-started, tiny
+Every test drives *real* fabric worker processes (fork-started, tiny
 functional workloads) through the scheduler with seeded chaos from
 repro.faults.infra — no mocked deaths.  A SIGKILLed worker here
 genuinely dies; the assertions are about what the service does next:
@@ -27,9 +27,7 @@ from repro.service import (
     ServiceDegraded,
     SimRequest,
     SimulationService,
-    WorkerCrashed,
 )
-from repro.service.workers import WorkerPool, make_job_spec
 
 SCALE = 0.02
 POISON_SEED = 7  # any seed listed in kill_seeds dies on every attempt
@@ -50,7 +48,7 @@ def _drive(coroutine):
 
 def _service(store_dir, **kwargs):
     defaults = dict(
-        max_workers=1, worker_mode="process", retries=4,
+        max_workers=1, worker_mode="fabric", retries=4,
         stall_timeout=2.0, breaker_threshold=None,
     )
     defaults.update(kwargs)
@@ -58,39 +56,6 @@ def _service(store_dir, **kwargs):
 
 
 class TestSupervisedPool:
-    def test_process_worker_computes_matching_thread_result(self, tmp_path):
-        request = _request()
-
-        async def scenario(mode):
-            service = SimulationService(
-                str(tmp_path / mode), max_workers=1, worker_mode=mode
-            )
-            result = await service.run(request)
-            await service.shutdown()
-            return result
-
-        by_process = _drive(scenario("process"))
-        by_thread = _drive(scenario("thread"))
-        assert by_process == by_thread
-
-    def test_killed_worker_raises_worker_crashed(self):
-        pool = WorkerPool(max_workers=1, mode="process")
-        try:
-            # A job that takes long enough to be killed mid-flight.
-            spec = make_job_spec(_request(scale=0.2), "ab" * 16, None)
-            future = pool.submit(spec)
-            # Wait until the process exists, then kill it.
-            deadline = 50
-            while pool.live_workers() == 0 and deadline:
-                deadline -= 1
-                asyncio.run(asyncio.sleep(0.05))
-            assert pool.kill("ab" * 16, CODE_WORKER_STALLED)
-            with pytest.raises(WorkerCrashed) as excinfo:
-                future.result(timeout=30)
-            assert excinfo.value.code == CODE_WORKER_STALLED
-        finally:
-            pool.shutdown(wait=False)
-
     def test_clean_exception_crosses_as_job_error_not_crash(self, tmp_path):
         async def scenario():
             service = _service(tmp_path / "cache", retries=0)
