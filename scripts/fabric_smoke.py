@@ -3,17 +3,14 @@
 
 Drives the real ``repro-serve`` CLI the way an operator would:
 
-1. a **cold batch** through ``--fabric-workers`` against a fresh
-   ``--store-nodes``-sharded store (every request computed by the
-   persistent-worker fabric);
-2. the **same batch again** — every request must now be served from the
-   sharded cache;
-3. a **rebalance** onto a freshly added store node (zero unreadable
-   entries), after which the batch must *still* be served from cache;
-4. a digest comparison of every stored result against a clean
-   single-process in-process run — the fabric, the shards, and the
-   rebalance must never change an answer;
-5. an in-process sweep along the figure 9 window axis with the
+1. a **cold batch** through ``--fabric-workers`` against a fresh store
+   (every request computed by the persistent-worker fabric);
+2. the **same batch again**, in a second and then a third process —
+   every request must now be served from the cache;
+3. a digest comparison of every stored result against a clean
+   single-process in-process run — the fabric must never change an
+   answer;
+4. an in-process sweep along the figure 9 window axis with the
    pre-warmer enabled — speculation must turn at least one real
    request into a hit (nonzero ``useful``).
 
@@ -90,8 +87,7 @@ def _serve_cli(watchdog: Watchdog, *argv: str) -> subprocess.CompletedProcess:
 def _batch(watchdog: Watchdog, store: str, report: str) -> dict:
     _serve_cli(
         watchdog, "batch", BATCH_FILE, "--store", store,
-        "--fabric-workers", "2", "--store-nodes", "2", "--replication", "2",
-        "--report-json", report,
+        "--fabric-workers", "2", "--report-json", report,
     )
     with open(report) as handle:
         return json.load(handle)
@@ -102,9 +98,9 @@ def _sources(report: dict) -> list:
 
 
 def _stored_digests(store_dir: str) -> dict:
-    from repro.service import open_store
+    from repro.service import ResultStore
 
-    store = open_store(store_dir)
+    store = ResultStore(store_dir)
     out = {}
     for digest in store.entries():
         result = store.get(digest)
@@ -127,27 +123,14 @@ def run_smoke(budget: float) -> None:
                "cold batch did not run through the fabric pool")
         print("cold fabric batch: %d computed" % len(_sources(cold)))
 
-        # 2: warm batch — everything from the sharded cache.
-        warm = _batch(watchdog, fabric_store,
-                      os.path.join(scratch, "warm.json"))
-        _check(all(s == "cache" for s in _sources(warm)),
-               "warm batch missed cache: %s" % _sources(warm))
-        print("warm fabric batch: %d cache hits" % len(_sources(warm)))
-
-        # 3: rebalance onto a new node; the cache must survive the move.
-        proc = _serve_cli(
-            watchdog, "rebalance", "--store", fabric_store,
-            "--add-node", "node02", "--json",
-        )
-        report = json.loads(proc.stdout)
-        _check(report["unreadable"] == 0,
-               "rebalance left %d unreadable entries" % report["unreadable"])
-        _check(report["moved"] >= 1, "rebalance onto a new node moved nothing")
-        rewarm = _batch(watchdog, fabric_store,
-                        os.path.join(scratch, "rewarm.json"))
-        _check(all(s == "cache" for s in _sources(rewarm)),
-               "post-rebalance batch missed cache: %s" % _sources(rewarm))
-        print("rebalance: %d keys moved, cache intact" % report["moved"])
+        # 2: two warm batches, each its own process — all from cache.
+        for name in ("warm", "rewarm"):
+            warm = _batch(watchdog, fabric_store,
+                          os.path.join(scratch, name + ".json"))
+            _check(all(s == "cache" for s in _sources(warm)),
+                   "%s batch missed cache: %s" % (name, _sources(warm)))
+            print("%s fabric batch: %d cache hits"
+                  % (name, len(_sources(warm))))
 
         # The sidecar accumulated across all three batch processes.
         with open(os.path.join(fabric_store, "service-stats.json")) as handle:
@@ -160,7 +143,7 @@ def run_smoke(budget: float) -> None:
         _check(sidecar["cache_hits"] >= 2 * len(_sources(cold)),
                "stats sidecar lost cache hits: %d" % sidecar["cache_hits"])
 
-        # 4: digest identity against a clean single-process run.
+        # 3: digest identity against a clean single-process run.
         _serve_cli(
             watchdog, "batch", BATCH_FILE, "--store", clean_store,
             "--workers", "1",
@@ -176,7 +159,7 @@ def run_smoke(budget: float) -> None:
         print("digest identity: %d results bit-identical to clean run"
               % len(clean_digests))
 
-        # 5: the pre-warmer turns sweep neighbours into hits.
+        # 4: the pre-warmer turns sweep neighbours into hits.
         stats = _prewarm_sweep(os.path.join(scratch, "prewarm"))
         _check(stats["issued"] >= 1, "pre-warmer issued nothing")
         _check(stats["useful"] >= 1,

@@ -118,8 +118,8 @@ class TimingSimulator:
         than returning inconsistent numbers.
 
         *policy* overrides the process-wide snapshot policy for this run
-        only — the simulation service uses this so concurrent in-process
-        worker jobs each snapshot (and preempt) independently.
+        only, so one run can record its own digest stream without
+        installing a policy every other run in the process would see.
         """
         if policy is None:
             policy = active_policy()

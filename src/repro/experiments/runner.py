@@ -252,9 +252,12 @@ def main(argv=None) -> int:
             "(expiry saves a snapshot before exiting)"
         )
     if args.service_store and args.snapshot_every is not None:
+        # Thread workers share this process and fabric workers fork
+        # after set_policy(), so service jobs would inherit the policy.
         parser.error(
-            "--service-store manages its own snapshots; do not combine "
-            "it with --snapshot-every"
+            "--service-store cannot be combined with --snapshot-every: "
+            "service jobs would run under this process's snapshot "
+            "policy, and a --deadline would fail them as sim_error"
         )
     policy = None
     if args.snapshot_every is not None:

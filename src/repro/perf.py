@@ -101,9 +101,9 @@ class PerfRecorder:
         """Fastest single sample of *kind* (0.0 if none).
 
         The best-of rate is what benchmark records should report: the
-        aggregate rate folds in scheduler preemptions and cold-cache
-        warm-up, which are properties of the run environment, not the
-        code under test.
+        aggregate rate folds in time the OS scheduler gave to other
+        processes and cold-cache warm-up, which are properties of the
+        run environment, not the code under test.
         """
         best = 0.0
         for uops, seconds in self.throughput_samples.get(kind, ()):

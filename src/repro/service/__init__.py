@@ -11,10 +11,8 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   versioned invalidation.
 * :mod:`repro.service.scheduler` — :class:`SimulationService`: bounded
   priority queue, single-flight dedup, typed backpressure rejections,
-  retry/timeout worker tier (in-process threads, or the fabric's
-  worker processes), and snapshot-boundary preemption of sweep
-  jobs in favour of interactive requests (preempted jobs resume
-  bit-identically).
+  and a retry/timeout worker tier (in-process threads, or the fabric's
+  worker processes); every job runs to completion.
 * :mod:`repro.service.client` — async sweep batching plus the blocking
   :class:`ServiceSession` facade, which can route the experiments CLI's
   sweeps through the cache (``repro-experiments ... --service-store``),
@@ -32,11 +30,6 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   per-worker queues with content-affinity routing, work stealing, crash
   respawn, and graceful per-worker drain (``repro-serve ...
   --fabric-workers N``).
-* :mod:`repro.service.shardmap` — :class:`ShardMap` /
-  :class:`ShardedResultStore`: the result cache consistent-hash-sharded
-  over replicated store nodes, with checksummed reads falling back
-  across replicas and a bounded-movement ``rebalance``
-  (``repro-serve rebalance``).
 * :mod:`repro.service.prewarm` — :class:`Prewarmer`: speculative
   pre-computation of neighbouring sweep cells at a background priority
   class, with prefetcher-style predicted/issued/useful/wasted counters.
@@ -92,12 +85,6 @@ from repro.service.scheduler import (
     SimulationService,
     merge_stats_trees,
 )
-from repro.service.shardmap import (
-    RebalanceReport,
-    ShardedResultStore,
-    ShardMap,
-    open_store,
-)
 from repro.service.store import (
     RESULT_STORE_VERSION,
     ResultStore,
@@ -121,7 +108,6 @@ __all__ = [
     "Prewarmer",
     "Priority",
     "QueueFull",
-    "RebalanceReport",
     "ResultStore",
     "RetryPolicy",
     "ScrubReport",
@@ -133,8 +119,6 @@ __all__ = [
     "ServiceRejected",
     "ServiceSession",
     "ServiceStatus",
-    "ShardMap",
-    "ShardedResultStore",
     "SimRequest",
     "SimulationService",
     "StoreStats",
@@ -144,7 +128,6 @@ __all__ = [
     "encode_result",
     "merge_stats_trees",
     "neighbours",
-    "open_store",
     "request_digest",
     "request_from_fingerprint",
     "sweep_requests",

@@ -7,8 +7,6 @@ Subcommands::
     repro-serve jobs [--port P] [--state S] [--code C] [--limit N] [--json]
     repro-serve status [--store DIR] [--json]
     repro-serve scrub [--store DIR] [--repair] [--workers N] [--json]
-    repro-serve rebalance [--store DIR] [--add-node NAME]
-                          [--remove-node NAME] [--json]
 
 ``batch`` runs a JSON request file through a :class:`SimulationService`
 and prints one line per request plus the service status report.  A batch
@@ -63,13 +61,8 @@ Worker tier: ``batch`` and ``serve`` run jobs on ``--workers N``
 in-process threads, or with ``--fabric-workers N`` through the
 multi-process fabric coordinator (:mod:`repro.service.fabric`), the
 only process-worker path; ``scrub --repair`` recomputes on threads.
-Distribution (``shardmap``): ``--store-nodes N`` shards the result
-store across N consistent-hash nodes (``--replication R`` keeps R
-copies of every entry); ``--prewarm`` turns on the sweep-cell
-pre-warmer.  ``rebalance`` adds/removes store nodes and moves the
-bounded set of keys whose placement changed (the runbook lives in
-docs/architecture.md).  ``status`` and ``scrub`` open sharded and
-plain stores alike.
+Every job runs to completion.  ``serve --prewarm`` turns on the
+sweep-cell pre-warmer.
 
 Exit codes: 0 — all requests served (``batch``) / store clean or fully
 repaired (``scrub``); 2 — bad invocation or malformed batch file; 3 —
@@ -143,23 +136,6 @@ def _resolve_pool(args):
     return args.workers, "thread"
 
 
-def _prepare_store(args) -> None:
-    """Shard the store up front when ``--store-nodes`` asks for it.
-
-    Constructing the sharded store persists its ``shardmap.json``; from
-    then on every opener (this process's scheduler, a later ``status``
-    or ``scrub``) sees the same membership.  A store that is already
-    sharded keeps its persisted map — the flags never re-shard.
-    """
-    if getattr(args, "store_nodes", None):
-        from repro.service.shardmap import ShardedResultStore
-
-        ShardedResultStore(
-            args.store, nodes=args.store_nodes,
-            replication=args.replication,
-        )
-
-
 def _cmd_batch(args) -> int:
     from repro.service.client import ServiceSession
     from repro.service.request import request_digest
@@ -171,7 +147,6 @@ def _cmd_batch(args) -> int:
         return EXIT_ERROR
 
     workers, worker_mode = _resolve_pool(args)
-    _prepare_store(args)
     session = ServiceSession(
         store_dir=args.store,
         max_workers=workers,
@@ -180,7 +155,6 @@ def _cmd_batch(args) -> int:
         job_timeout=args.timeout,
         retries=args.retries,
         stall_timeout=args.stall_timeout,
-        snapshot_every=args.snapshot_every,
     )
     with session:
         records = session.submit_batch(batch)
@@ -249,7 +223,6 @@ def _cmd_serve(args) -> int:
         return EXIT_ERROR
 
     workers, worker_mode = _resolve_pool(args)
-    _prepare_store(args)
 
     async def serve() -> int:
         service = SimulationService(
@@ -260,7 +233,6 @@ def _cmd_serve(args) -> int:
             job_timeout=args.timeout,
             retries=args.retries,
             stall_timeout=args.stall_timeout,
-            snapshot_every=args.snapshot_every,
         )
         if args.prewarm:
             service.enable_prewarm()
@@ -381,10 +353,9 @@ def _last_run_stats(store) -> dict | None:
 
 
 def _cmd_status(args) -> int:
-    from repro.service.shardmap import open_store
+    from repro.service.store import ResultStore
 
-    store = open_store(args.store)
-    shard_map = getattr(store, "map", None)
+    store = ResultStore(args.store)
     entries = store.entries()
     quarantine = store.quarantine_summary()
     jobs = _job_quarantine_records(store)
@@ -396,10 +367,6 @@ def _cmd_status(args) -> int:
                 "store": {
                     "directory": store.directory,
                     "entries": len(entries),
-                    "nodes": list(shard_map.nodes) if shard_map else None,
-                    "replication": (
-                        shard_map.replication if shard_map else None
-                    ),
                 },
                 "quarantine": {
                     "entries": quarantine,
@@ -414,11 +381,6 @@ def _cmd_status(args) -> int:
 
     print("result store %s: %d cached result%s"
           % (store.directory, len(entries), "" if len(entries) == 1 else "s"))
-    if shard_map is not None:
-        print("sharded across %d node%s (replication %d): %s"
-              % (len(shard_map.nodes),
-                 "" if len(shard_map.nodes) == 1 else "s",
-                 shard_map.replication, ", ".join(shard_map.nodes)))
     for digest in entries[: args.limit]:
         print("  %s" % digest)
     if len(entries) > args.limit:
@@ -444,11 +406,10 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_scrub(args) -> int:
-    from repro.service.shardmap import open_store
-
     if not args.repair:
-        store = open_store(args.store)
-        report = store.scrub()
+        from repro.service.store import ResultStore
+
+        report = ResultStore(args.store).scrub()
     else:
         from repro.service.client import ServiceSession
 
@@ -464,32 +425,6 @@ def _cmd_scrub(args) -> int:
     else:
         print(report.render())
     return EXIT_PARTIAL if report.unrepaired else EXIT_CLEAN
-
-
-def _cmd_rebalance(args) -> int:
-    from repro.service.shardmap import ShardedResultStore, open_store
-
-    store = open_store(args.store)
-    if not isinstance(store, ShardedResultStore):
-        print("error: %s is not a sharded store (no shardmap.json); "
-              "create one with batch/serve --store-nodes" % args.store,
-              file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        for name in args.add_node or []:
-            store.add_node(name)
-        for name in args.remove_node or []:
-            store.remove_node(name)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    report = store.rebalance()
-    if args.json:
-        json.dump(report.as_dict(), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print(report.render())
-    return EXIT_PARTIAL if report.unreadable else EXIT_CLEAN
 
 
 def main(argv=None) -> int:
@@ -518,15 +453,6 @@ def main(argv=None) -> int:
              "instead of --workers threads",
     )
     batch.add_argument(
-        "--store-nodes", type=int, default=None, metavar="N",
-        help="shard the result store across N consistent-hash nodes "
-             "(ignored if the store is already sharded)",
-    )
-    batch.add_argument(
-        "--replication", type=int, default=1, metavar="R",
-        help="replica count per entry when sharding (default: 1)",
-    )
-    batch.add_argument(
         "--max-pending", type=int, default=256,
         help="queued-job bound before typed rejection (default: 256)",
     )
@@ -542,11 +468,6 @@ def main(argv=None) -> int:
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
         help="kill and retry a fabric worker whose heartbeat goes "
              "silent this long",
-    )
-    batch.add_argument(
-        "--snapshot-every", type=int, default=None, metavar="N",
-        help="make timing jobs preemptible/resumable at N-uop snapshot "
-             "boundaries (snapshots live under the store)",
     )
     batch.add_argument(
         "--report-json", default=None, metavar="PATH",
@@ -579,15 +500,6 @@ def main(argv=None) -> int:
              "instead of --workers threads",
     )
     serve.add_argument(
-        "--store-nodes", type=int, default=None, metavar="N",
-        help="shard the result store across N consistent-hash nodes "
-             "(ignored if the store is already sharded)",
-    )
-    serve.add_argument(
-        "--replication", type=int, default=1, metavar="R",
-        help="replica count per entry when sharding (default: 1)",
-    )
-    serve.add_argument(
         "--prewarm", action="store_true",
         help="speculatively pre-compute neighbouring sweep cells at "
              "background priority",
@@ -607,10 +519,6 @@ def main(argv=None) -> int:
     serve.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
         help="heartbeat reaper threshold (fabric workers)",
-    )
-    serve.add_argument(
-        "--snapshot-every", type=int, default=None, metavar="N",
-        help="make timing jobs preemptible at N-uop snapshot boundaries",
     )
     serve.add_argument(
         "--token", action="append", metavar="TOKEN=PRIORITY",
@@ -712,30 +620,6 @@ def main(argv=None) -> int:
         help="emit the scrub report as JSON",
     )
     scrub.set_defaults(func=_cmd_scrub)
-
-    rebalance = sub.add_parser(
-        "rebalance",
-        help="move sharded-store keys to their mapped nodes "
-             "(optionally changing membership first)",
-    )
-    rebalance.add_argument(
-        "--store", default=DEFAULT_STORE,
-        help="sharded result-store directory (default: %(default)s)",
-    )
-    rebalance.add_argument(
-        "--add-node", action="append", metavar="NAME",
-        help="join NAME to the ring before rebalancing; repeatable",
-    )
-    rebalance.add_argument(
-        "--remove-node", action="append", metavar="NAME",
-        help="drop NAME from the ring before rebalancing (its directory "
-             "is drained, not deleted); repeatable",
-    )
-    rebalance.add_argument(
-        "--json", action="store_true",
-        help="emit the rebalance report as JSON",
-    )
-    rebalance.set_defaults(func=_cmd_rebalance)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -46,7 +46,7 @@ retry/quarantine/breaker logic never cares which pool it drives:
   :class:`~repro.service.workers.WorkerCrashed` (carrying the reaper's
   kill code when the death was deliberate) and is **respawned** — one
   crashed cell never shrinks the fabric;
-* heartbeats, preempt flags, and seeded chaos all run inside
+* heartbeats and seeded chaos both run inside
   :func:`~repro.service.workers.execute_job`, unchanged.  The
   coordinator additionally stamps each spec's chaos profile with the
   executing worker's name and per-worker job count, giving
@@ -56,8 +56,7 @@ Graceful drain (:meth:`FabricCoordinator.drain_worker`) decommissions
 one worker without dropping work: its backlog is redistributed to
 siblings, a drain sentinel follows the in-flight job, and the process
 exits after finishing it.  Worker names (``w0`` … ``wN``) are plain
-strings for the same reason store nodes are: nothing below the
-coordinator assumes they share a host.
+strings: nothing below the coordinator assumes they share a host.
 """
 
 from __future__ import annotations

@@ -819,10 +819,9 @@ class ServiceHTTPServer:
             record.priority = job.priority
         self._jobs[digest] = record  # re-insert: LRU order
         if job.state == "done" and job.future.done():
-            # Keep the object only when there is no store for the first
-            # /result read to render it from.
-            record.result = None if self.service.store is not None \
-                else job.future.result()
+            # Keep the object only when the store does not hold it for
+            # the first /result read to render it from.
+            record.result = None if job.stored else job.future.result()
         elif not job.future.done():
             job.future.add_done_callback(
                 lambda future: self._record_outcome(record, job, future)
@@ -839,9 +838,8 @@ class ServiceHTTPServer:
         if exc is None:
             record.state = "done"
             record.source = job.source
-            # As in _remember: the object only when there is no store.
-            record.result = None if self.service.store is not None \
-                else future.result()
+            # As in _remember: the object only when the store lacks it.
+            record.result = None if job.stored else future.result()
             return
         record.state = "failed"
         if isinstance(exc, JobFailed):
@@ -925,8 +923,6 @@ class ServiceHTTPServer:
             ("failed", "jobs failed after retries"),
             ("rejected", "typed submission rejections"),
             ("retried", "execution retries"),
-            ("preempted", "sweep jobs preempted for interactive work"),
-            ("resumed", "jobs resumed from a preemption snapshot"),
             ("worker_deaths", "worker processes that died"),
             ("reaped", "workers killed by the heartbeat reaper"),
             ("shed", "sweep submissions shed while the breaker was open"),

@@ -12,8 +12,8 @@ along every lattice axis the request sits on.
 :meth:`on_request` after each interactive or sweep submit), predicts
 the neighbours, and enqueues the ones not already cached or in flight
 at :data:`~repro.service.request.Priority.PREWARM` — a class that sorts
-behind all real work and is always preemptible.  Two further rules keep
-speculation strictly out of real work's way:
+behind all real work.  A started cell runs to completion like any other
+job, so two further rules keep speculation out of real work's way:
 
 * a prewarm job is only issued while the real queue is **empty** (a
   backlogged service has better uses for every worker), and

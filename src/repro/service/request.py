@@ -55,8 +55,9 @@ class Priority(enum.IntEnum):
 
     ``PREWARM`` is the background class the sweep-cell pre-warmer
     (:mod:`repro.service.prewarm`) submits at: it sorts behind every
-    interactive and explicit-sweep job in the queue and is always
-    preemptible, so speculation can never delay real work.
+    interactive and explicit-sweep job in the queue.  A pre-warm cell
+    runs to completion once started, so the pre-warmer issues one only
+    into an empty queue and caps how many exist at once.
     """
 
     INTERACTIVE = 0
@@ -69,9 +70,8 @@ class SimRequest:
     """One content-addressable simulation.
 
     ``mode`` selects the simulator: ``"timing"`` runs the cycle-accurate
-    :class:`~repro.core.simulator.TimingSimulator` (preemptible at
-    snapshot boundaries), ``"functional"`` the untimed
-    :class:`~repro.core.functional.FunctionalSimulator`.
+    :class:`~repro.core.simulator.TimingSimulator`, ``"functional"`` the
+    untimed :class:`~repro.core.functional.FunctionalSimulator`.
     """
 
     machine: MachineConfig

@@ -1,4 +1,4 @@
-"""Async simulation scheduler: queueing, dedup, caching, preemption.
+"""Async simulation scheduler: queueing, dedup, caching, retries.
 
 :class:`SimulationService` turns the one-shot simulators into a
 long-running serving loop.  One event loop owns all bookkeeping (no
@@ -15,20 +15,18 @@ locks); blocking simulation work happens in the worker tier
    depth and limit; nothing silently blocks or drops).
 4. **Priority dispatch** — a binary heap ordered by
    (:class:`~repro.service.request.Priority`, arrival): interactive
-   requests overtake queued sweep cells.
-5. **Preemption** — when an interactive request finds every worker busy
-   with sweep jobs, the most recently started preemptible one is asked
-   to stop; it saves a full snapshot at its next boundary, the
-   interactive job takes the worker, and the sweep job re-queues and
-   later *resumes from its snapshot* — the final result is
-   digest-identical to an uninterrupted run (the PR-3 guarantee).
-6. **Retry** — worker failures and per-job timeouts are retried with
+   requests overtake queued sweep cells.  A running job is never
+   stopped, so an interactive request waits for at most one running
+   cell per worker.
+5. **Retry** — worker failures and per-job timeouts are retried with
    the jittered backoff shared with
    :mod:`repro.experiments.parallel`; exhausted retries fail the job's
    future with :class:`JobFailed` carrying the
    :class:`~repro.experiments.parallel.JobFailure` record.
-7. **Completion** — results are written back to the store (atomic,
-   content-addressed) and every joined future resolves.
+6. **Completion** — results are written back to the store (atomic,
+   content-addressed) and every joined future resolves.  The store is
+   a cache: a failed write is recorded in the store's ``stats.errors``
+   and the job still resolves with its result.
 
 ``shutdown(drain=True)`` stops intake and runs the queue dry;
 ``drain=False`` fails queued jobs with :class:`ServiceClosed` and waits
@@ -98,16 +96,13 @@ from repro.service.request import (
     request_digest,
 )
 from repro.service.fabric import FABRIC_MODE, FabricCoordinator
-from repro.service.shardmap import open_store
 from repro.service.store import ResultStore, atomic_write_json
 from repro.service.workers import (
     JobExecutionError,
     WorkerCrashed,
     WorkerPool,
-    clear_preempt_flag,
     heartbeat_path,
     make_job_spec,
-    raise_preempt_flag,
 )
 
 __all__ = [
@@ -149,9 +144,8 @@ STATS_FILENAME = "service-stats.json"
 #: Counter fields summed across flushes.
 _SUM_FIELDS = (
     "submitted", "cache_hits", "dedup_hits", "executed", "completed",
-    "failed", "rejected", "retried", "preempt_requests", "preempted",
-    "resumed", "worker_deaths", "reaped", "quarantine_rejections",
-    "shed", "deadline_shed", "breaker_opened",
+    "failed", "rejected", "retried", "worker_deaths", "reaped",
+    "quarantine_rejections", "shed", "deadline_shed", "breaker_opened",
 )
 #: Gauge fields taken from the newest flush.
 _LAST_FIELDS = (
@@ -431,10 +425,10 @@ class Job:
     #: How this job was (or will be) satisfied: "cache", "dedup" joins
     #: report the *join* source to their submitter; a fresh job computes.
     source: str = "computed"
+    #: The result is in the store (a cache hit, or a computed result
+    #: whose write succeeded), so a reader can fetch it from there.
+    stored: bool = False
     attempts: int = 0
-    preemptions: int = 0
-    preempt_requested: bool = False
-    started_seq: int = -1
     #: Worker deaths (crash/stall/timeout-kill) across this job's attempts.
     deaths: int = 0
     #: Per-attempt failure records: {"attempt", "code", "error"}.
@@ -498,9 +492,6 @@ class ServiceStatus:
     failed: int = 0
     rejected: int = 0
     retried: int = 0
-    preempt_requests: int = 0
-    preempted: int = 0
-    resumed: int = 0
     queue_depth: int = 0
     queue_high_water: int = 0
     running: int = 0
@@ -546,8 +537,7 @@ class ServiceStatus:
             f: getattr(self, f)
             for f in (
                 "submitted", "cache_hits", "dedup_hits", "executed",
-                "completed", "failed", "rejected", "retried",
-                "preempt_requests", "preempted", "resumed", "queue_depth",
+                "completed", "failed", "rejected", "retried", "queue_depth",
                 "queue_high_water", "running", "workers", "worker_mode",
                 "closed", "worker_deaths", "reaped", "quarantined_jobs",
                 "quarantine_rejections", "shed", "deadline_shed",
@@ -575,8 +565,7 @@ class ServiceStatus:
                100.0 * self.cache_hit_rate, self.dedup_hits),
             "  executed  %-6d completed  %-6d failed %-4d rejected %d"
             % (self.executed, self.completed, self.failed, self.rejected),
-            "  preempted %-6d resumed    %-6d retried %d"
-            % (self.preempted, self.resumed, self.retried),
+            "  retried %d" % self.retried,
             "  queue depth %d (high-water %d), running %d"
             % (self.queue_depth, self.queue_high_water, self.running),
         ]
@@ -637,11 +626,8 @@ class SimulationService:
     Parameters
     ----------
     store:
-        A :class:`ResultStore` (or
-        :class:`~repro.service.shardmap.ShardedResultStore`), a
-        directory path, or ``None`` to serve without a cache (dedup and
-        scheduling still apply).  A path whose root carries a
-        ``shardmap.json`` opens as a sharded store automatically.
+        A :class:`ResultStore`, a directory path, or ``None`` to serve
+        without a cache (dedup and scheduling still apply).
     max_workers / worker_mode:
         Size and kind of the worker tier: ``"thread"`` (in-process
         threads) or ``"fabric"`` (N persistent pull-based worker
@@ -669,11 +655,6 @@ class SimulationService:
         A :class:`repro.faults.infra.InfraChaosConfig` (or its
         ``worker_spec()`` dict) injecting seeded worker faults — test
         harness plumbing, never set in production.
-    snapshot_every / snapshot_dir:
-        Enable preemptible timing jobs: snapshots every N µops into
-        *snapshot_dir* (default: ``<store>/snapshots``).  Without these,
-        interactive requests still jump the queue but cannot steal a
-        busy worker.
     """
 
     def __init__(
@@ -690,8 +671,6 @@ class SimulationService:
         breaker_threshold: int | None = 8,
         breaker_cooldown: float = 30.0,
         chaos=None,
-        snapshot_every: int | None = None,
-        snapshot_dir: str | None = None,
     ) -> None:
         if worker_mode not in ("thread", FABRIC_MODE):
             raise ValueError(
@@ -699,29 +678,18 @@ class SimulationService:
                 % (worker_mode,)
             )
         if isinstance(store, str):
-            store = open_store(store)
+            store = ResultStore(store)
         self.store = store
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
-        if snapshot_every is not None and snapshot_every <= 0:
-            raise ValueError("snapshot_every must be positive")
         if stall_timeout is not None and stall_timeout <= 0:
             raise ValueError("stall_timeout must be positive")
         if breaker_threshold is not None and breaker_threshold <= 0:
             raise ValueError("breaker_threshold must be positive")
-        if snapshot_dir is None and snapshot_every is not None:
-            if store is None:
-                raise ValueError(
-                    "snapshot_every needs snapshot_dir (or a store to "
-                    "default it under)"
-                )
-            snapshot_dir = os.path.join(store.directory, "snapshots")
         self.max_pending = max_pending
         self.job_timeout = job_timeout
         self.retries = retries
         self.backoff = backoff
-        self.snapshot_every = snapshot_every
-        self.snapshot_dir = snapshot_dir
         self.stall_timeout = stall_timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
@@ -816,7 +784,13 @@ class SimulationService:
                 ),
             }
             record_path = os.path.join(directory, job.digest + ".json")
-            atomic_write_json(record_path, record)
+            try:
+                atomic_write_json(record_path, record)
+            except OSError as exc:
+                # Refused in memory all the same; only the record that
+                # outlives a restart is lost.
+                self._store_write_failed(job.digest, exc)
+                record_path = None
         self._poisoned[job.digest] = record_path
         self._stats.quarantined_jobs = len(self._poisoned)
         perf.counter("service.job_quarantined")
@@ -968,6 +942,7 @@ class SimulationService:
                     request=request, digest=digest, priority=priority,
                     spec={}, future=future, submitted_at=loop.time(),
                     fingerprint=tree, state="done", source="cache",
+                    stored=True,
                 )
 
         if digest in self._poisoned:
@@ -986,12 +961,9 @@ class SimulationService:
                 retry_after=self.retry_after_hint(),
             )
 
-        snapshot = None
-        if self.snapshot_every is not None:
-            snapshot = {"every": self.snapshot_every, "dir": self.snapshot_dir}
         job = Job(
             request=request, digest=digest, priority=priority,
-            spec=make_job_spec(request, digest, snapshot),
+            spec=make_job_spec(request, digest),
             future=loop.create_future(), submitted_at=loop.time(),
             fingerprint=tree, deadline=deadline_at,
         )
@@ -1004,8 +976,6 @@ class SimulationService:
             job.spec["chaos"] = dict(self._chaos)
         self._inflight[digest] = job
         self._enqueue(job)
-        if priority != Priority.PREWARM:
-            self._maybe_preempt(priority)
         self._ensure_reaper(loop)
         self._pump(loop)
         return job
@@ -1059,7 +1029,6 @@ class SimulationService:
             self._free_workers -= 1
             job.state = "running"
             job.attempts = 0
-            job.started_seq = next(self._seq)
             self._running.add(job)
             self._stats.running = len(self._running)
             perf.gauge("service.running", len(self._running))
@@ -1076,38 +1045,6 @@ class SimulationService:
         perf.counter("service.deadline_shed")
         if not job.future.done():
             job.future.set_exception(DeadlineExpired(job.digest, where))
-
-    def _maybe_preempt(
-        self, for_priority: Priority = Priority.INTERACTIVE
-    ) -> None:
-        """Steal a worker for a waiting higher-class job, if possible.
-
-        An interactive submit may preempt sweep and prewarm work; a
-        sweep submit may preempt prewarm speculation only.  Strictly
-        class-ordered, so speculation never holds a worker against real
-        work but real classes never preempt each other sideways.
-        """
-        if self._free_workers > 0 or self.snapshot_every is None:
-            return
-        candidates = [
-            job for job in self._running
-            if job.priority > for_priority
-            and job.spec.get("snapshot") is not None
-            and not job.preempt_requested
-        ]
-        if not candidates:
-            return
-        # The lowest class loses first; among equals, the most recently
-        # started cell has the least work at risk (and, resuming from
-        # its snapshot, loses none of it anyway).
-        victim = max(
-            candidates,
-            key=lambda job: (job.priority, job.started_seq),
-        )
-        victim.preempt_requested = True
-        raise_preempt_flag(self.snapshot_dir, victim.digest)
-        self._stats.preempt_requests += 1
-        perf.counter("service.preempt_request")
 
     # -- the reaper -----------------------------------------------------------
 
@@ -1271,27 +1208,20 @@ class SimulationService:
             self._pump()
 
     def _settle(self, job: Job, outcome) -> None:
-        status = outcome[0]
-        if status == "preempted":
-            clear_preempt_flag(self.snapshot_dir, job.digest)
-            job.preempt_requested = False
-            job.preemptions += 1
-            job.spec["resume"] = True
-            self._stats.preempted += 1
-            perf.counter("service.preempted")
-            self._enqueue(job)  # keeps its future; resumes from snapshot
-            return
         _, result, meta = outcome
-        if job.spec.get("snapshot") is not None:
-            # A preempt flag raised after the job finished must not leak
-            # into a future run of the same digest.
-            clear_preempt_flag(self.snapshot_dir, job.digest)
         if self.store is not None:
-            self.store.put(
-                job.digest, result, fingerprint=job.fingerprint, meta=meta,
-            )
-        if meta.get("resumed"):
-            self._stats.resumed += 1
+            try:
+                self.store.put(
+                    job.digest, result, fingerprint=job.fingerprint,
+                    meta=meta,
+                )
+            except OSError as exc:
+                # The store is a cache: a failed write (a full disk)
+                # costs the next request a recompute, never this job
+                # its result.
+                self._store_write_failed(job.digest, exc)
+            else:
+                job.stored = True
         job.state = "done"
         self._inflight.pop(job.digest, None)
         latency = asyncio.get_running_loop().time() - job.submitted_at
@@ -1302,11 +1232,14 @@ class SimulationService:
         if not job.future.done():
             job.future.set_result(result)
 
+    def _store_write_failed(self, digest: str, exc: OSError) -> None:
+        self.store.stats.errors.append(
+            "%s: write failed: %s" % (digest, exc)
+        )
+
     def _fail(self, job: Job, failure: JobFailure) -> None:
         job.state = "failed"
         self._inflight.pop(job.digest, None)
-        if job.spec.get("snapshot") is not None:
-            clear_preempt_flag(self.snapshot_dir, job.digest)
         self._stats.failed += 1
         self._failures.append(failure)
         self._mark_drained()

@@ -3,22 +3,10 @@
 The scheduler never touches a simulator directly; it serializes each
 :class:`~repro.service.request.SimRequest` into a plain job *spec* dict
 (picklable, so the same spec runs under a thread or a fabric worker
-process) and hands it to :func:`execute_job`.  A job returns either
-
-* ``("done", result, meta)`` — the completed
-  :class:`~repro.core.results.TimingResult` /
-  :class:`~repro.core.results.FunctionalResult` plus execution metadata,
-  or
-* ``("preempted", info)`` — the run saved a full snapshot at a boundary
-  and stopped because its preempt flag was raised
-  (:class:`repro.snapshot.SnapshotPolicy`'s ``interrupt`` hook).  The
-  scheduler re-queues the job with ``resume`` set; the next execution
-  continues from the snapshot bit-identically.
-
-Preemption is signalled through the filesystem (a flag file named after
-the job digest) so it works identically for thread and process workers:
-the scheduler touches the flag, the running job observes it at its next
-snapshot boundary.
+process) and hands it to :func:`execute_job`, which runs the job to
+completion and returns ``("done", result, meta)``: the completed
+:class:`~repro.core.results.TimingResult` /
+:class:`~repro.core.results.FunctionalResult` plus execution metadata.
 
 :class:`WorkerPool` runs jobs on in-process threads: the library and
 test path.  Process workers are the fabric's
@@ -53,7 +41,6 @@ import threading
 
 from repro.configio import machine_config_from_dict
 from repro.experiments.parallel import CODE_WORKER_CRASHED
-from repro.snapshot.policy import SnapshotPolicy, WatchdogExpired
 
 __all__ = [
     "JobExecutionError",
@@ -62,7 +49,6 @@ __all__ = [
     "execute_job",
     "heartbeat_path",
     "make_job_spec",
-    "preempt_flag_path",
 ]
 
 
@@ -90,12 +76,8 @@ class JobExecutionError(Exception):
     """
 
 
-def make_job_spec(request, digest: str, snapshot: dict | None) -> dict:
+def make_job_spec(request, digest: str) -> dict:
     """Plain picklable job description for :func:`execute_job`.
-
-    *snapshot*, when given, is ``{"every": N, "dir": path}`` and makes a
-    timing job preemptible and resumable; functional jobs ignore it
-    (they are short by construction — scans, no cycle accounting).
 
     The scheduler may later attach:
 
@@ -108,7 +90,7 @@ def make_job_spec(request, digest: str, snapshot: dict | None) -> dict:
     """
     from repro.configio import machine_config_to_dict
 
-    spec = {
+    return {
         "digest": digest,
         "machine": machine_config_to_dict(request.machine),
         "benchmark": request.benchmark,
@@ -116,38 +98,10 @@ def make_job_spec(request, digest: str, snapshot: dict | None) -> dict:
         "seed": int(request.seed),
         "warmup_fraction": float(request.warmup_fraction),
         "mode": request.mode,
-        "snapshot": None,
-        "resume": False,
         "supervise": None,
         "chaos": None,
         "attempt": 1,
     }
-    if snapshot is not None and request.mode == "timing":
-        spec["snapshot"] = {
-            "every": int(snapshot["every"]),
-            "dir": str(snapshot["dir"]),
-        }
-    return spec
-
-
-def preempt_flag_path(snapshot_dir: str, digest: str) -> str:
-    return os.path.join(snapshot_dir, digest + ".preempt")
-
-
-def raise_preempt_flag(snapshot_dir: str, digest: str) -> str:
-    """Ask the running job for *digest* to stop at its next boundary."""
-    path = preempt_flag_path(snapshot_dir, digest)
-    os.makedirs(snapshot_dir, exist_ok=True)
-    with open(path, "w"):
-        pass
-    return path
-
-
-def clear_preempt_flag(snapshot_dir: str, digest: str) -> None:
-    try:
-        os.unlink(preempt_flag_path(snapshot_dir, digest))
-    except OSError:
-        pass
 
 
 # -- heartbeats ---------------------------------------------------------------
@@ -202,7 +156,7 @@ def _start_beat_thread(spec: dict, path: str | None):
 
 
 def execute_job(spec: dict):
-    """Run one job spec to completion (or preemption).  See module docs.
+    """Run one job spec to completion.  See module docs.
 
     Module-level and argument-picklable on purpose: process workers must
     be able to import and call it.
@@ -237,23 +191,9 @@ def execute_job(spec: dict):
 
         from repro.core.simulator import TimingSimulator
 
-        simulator = TimingSimulator(config, workload.memory)
-        snapshot = spec.get("snapshot")
-        if snapshot is None:
-            result = simulator.run(workload.trace, warmup)
-            return ("done", result, _meta(spec, workload, started))
-
-        flag = preempt_flag_path(snapshot["dir"], spec["digest"])
-        policy = SnapshotPolicy(
-            every=snapshot["every"],
-            directory=snapshot["dir"],
-            resume=bool(spec.get("resume")),
-            interrupt=lambda: os.path.exists(flag),
+        result = TimingSimulator(config, workload.memory).run(
+            workload.trace, warmup
         )
-        try:
-            result = simulator.run(workload.trace, warmup, policy=policy)
-        except WatchdogExpired as exc:
-            return ("preempted", {"path": exc.path, "uop": exc.uop})
         return ("done", result, _meta(spec, workload, started))
     finally:
         stop_heartbeat()
@@ -267,7 +207,6 @@ def _meta(spec: dict, workload, started) -> dict:
         "mode": spec["mode"],
         "uops": workload.trace.uop_count,
         "elapsed": time.perf_counter() - started,
-        "resumed": bool(spec.get("resume")),
     }
 
 

@@ -63,20 +63,12 @@ class SnapshotPolicy:
         Wall-clock budget in seconds, measured from policy creation.
         Once exceeded, the next snapshot boundary saves and raises
         :class:`WatchdogExpired`.
-    interrupt:
-        Optional zero-argument callable polled at every snapshot
-        boundary alongside the deadline.  Returning ``True`` triggers
-        the same save-then-:class:`WatchdogExpired` path — this is how
-        the simulation service (:mod:`repro.service`) preempts a long
-        sweep job cooperatively: the preempted run loses nothing and
-        resumes from the snapshot it just saved.
     """
 
     every: int
     directory: str | None = None
     resume: bool = False
     deadline: float | None = None
-    interrupt: object = None
     _started: float = field(default=0.0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,20 +81,10 @@ class SnapshotPolicy:
                 "a watchdog deadline requires a snapshot directory "
                 "(expiry saves state before exiting)"
             )
-        if self.interrupt is not None:
-            if not callable(self.interrupt):
-                raise ValueError("interrupt must be callable (or None)")
-            if self.directory is None:
-                raise ValueError(
-                    "an interrupt hook requires a snapshot directory "
-                    "(preemption saves state before exiting)"
-                )
         self._started = time.monotonic()
 
     def expired(self) -> bool:
         """Should the next boundary save state and stop this run?"""
-        if self.interrupt is not None and self.interrupt():
-            return True
         if self.deadline is None:
             return False
         return (time.monotonic() - self._started) >= self.deadline

@@ -37,11 +37,42 @@ def _request(seed=1, **kwargs):
 
 
 def _spec(request):
-    return make_job_spec(request, request_digest(request), None)
+    return make_job_spec(request, request_digest(request))
 
 
 def _wait(future, timeout=120.0):
     return future.result(timeout=timeout)
+
+
+@pytest.fixture
+def held_worker(monkeypatch, tmp_path):
+    """Fabric workers hold every job until ``release()`` is called.
+
+    Workers fork from this process, so the patch must be in place
+    before the coordinator starts them.  Both signals are files: a
+    worker killed while it waits on a multiprocessing primitive can
+    leave that primitive blocked for every later user.
+    """
+    entered = tmp_path / "entered"
+    release = tmp_path / "release"
+    execute = fabric_module.execute_job
+
+    def held(spec):
+        entered.touch()
+        deadline = time.monotonic() + 60
+        while not release.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return execute(spec)
+
+    def wait_entered(timeout=60.0):
+        deadline = time.monotonic() + timeout
+        while not entered.exists():
+            assert time.monotonic() < deadline, "no worker took the job"
+            time.sleep(0.01)
+
+    monkeypatch.setattr(fabric_module, "execute_job", held)
+    yield wait_entered, release.touch
+    release.touch()
 
 
 class TestCoordinator:
@@ -79,19 +110,15 @@ class TestCoordinator:
         finally:
             fabric.shutdown()
 
-    def test_kill_fails_inflight_with_code_and_respawns(self):
+    def test_kill_fails_inflight_with_code_and_respawns(self, held_worker):
+        wait_entered, release = held_worker
         fabric = FabricCoordinator(max_workers=1)
         try:
             request = _request(mode="timing")
             future = fabric.submit(_spec(request))
-            digest = request_digest(request)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if fabric.kill(digest, "worker_stalled"):
-                    break
-                time.sleep(0.01)
-            else:
-                pytest.fail("job never became killable")
+            wait_entered()
+            assert fabric.kill(request_digest(request), "worker_stalled")
+            release()
             with pytest.raises(WorkerCrashed) as crash:
                 _wait(future)
             assert crash.value.code == "worker_stalled"
@@ -133,20 +160,22 @@ class TestCoordinator:
         finally:
             fabric.shutdown()
 
-    def test_shutdown_fails_stranded_futures(self):
+    def test_shutdown_fails_stranded_futures(self, held_worker):
+        wait_entered, _release = held_worker
         fabric = FabricCoordinator(max_workers=1)
-        stuck = fabric.submit(_spec(_request(mode="timing", scale=0.05)))
+        stuck = fabric.submit(_spec(_request(mode="timing")))
         backlog = [
             fabric.submit(_spec(_request(seed=seed)))
             for seed in range(2, 5)
         ]
+        wait_entered()
         fabric.shutdown(wait=False)
         for future in [stuck] + backlog:
             assert future.done()
-            try:
+            # Killed mid-job or stranded in the backlog: both resolve,
+            # never dangle.
+            with pytest.raises(WorkerCrashed):
                 future.result(timeout=0)
-            except WorkerCrashed:
-                pass  # stranded or killed: both resolve, never dangle
 
 
 _needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -236,11 +265,8 @@ class TestFabricThroughScheduler:
         assert status.completed == len(requests)
         assert status.worker_mode == "fabric"
 
-    def test_fabric_with_sharded_store_serves_cache_hits(self, tmp_path):
-        from repro.service.shardmap import ShardedResultStore
-
+    def test_restarted_fabric_service_serves_cache_hits(self, tmp_path):
         requests = [_request(seed=seed) for seed in range(1, 4)]
-        ShardedResultStore(str(tmp_path), nodes=2, replication=2)
 
         async def run_twice():
             service = SimulationService(

@@ -1,30 +1,23 @@
-"""Fabric chaos: SIGKILL mid-job and mid-rebalance, digests unchanged.
+"""Fabric chaos: SIGKILL mid-job, digests unchanged.
 
 The fabric analogue of the service chaos suite: a seeded per-cell kill
 storm SIGKILLs persistent workers while a batch runs through the
 coordinator, and the batch must converge to results digest-identical
 to a clean single-process run — respawn, retry, and recomputation never
-change answers, because every result is content-addressed.  The second
-half kills a shard rebalance mid-flight: copy-then-delete means the
-interrupted move left either nothing or a complete copy at the
-destination, so a rerun finishes the job with zero unreadable entries
-and a clean scrub.
+change answers, because every result is content-addressed.
 
 Scale with ``REPRO_CHAOS_JOBS`` (default 8; CI smoke uses 4).
 """
 
 import asyncio
 import dataclasses
-import multiprocessing
 import os
-import signal
-import time
 
 import pytest
 
 from repro.faults.infra import InfraChaosConfig
 from repro.params import MachineConfig
-from repro.service import ShardedResultStore, SimRequest
+from repro.service import SimRequest
 from repro.service.scheduler import SimulationService
 from repro.service.store import ResultStore
 from repro.snapshot.digest import state_digest
@@ -88,83 +81,3 @@ class TestFabricStorm:
         report = store.scrub()
         assert report.clean
         assert report.ok == report.scanned >= JOBS
-
-
-def _fill(store, count):
-    digests = []
-    for index in range(count):
-        digest = state_digest({"rebalance-entry": index})
-        store.put(
-            digest,
-            {"value": index, "bulk": list(range(400))},
-            fingerprint={"rebalance-entry": index},
-        )
-        digests.append(digest)
-    return digests
-
-
-#: The rebalancing child pauses for its SIGKILL after this many copies.
-_COPIES_BEFORE_KILL = 10
-
-
-def _rebalance_child(directory, started, midway):
-    """Rebalance, pausing mid-move after ``_COPIES_BEFORE_KILL`` copies.
-
-    The pause makes the kill land mid-move on every run: with a timed
-    kill, a rebalance that finished first exited cleanly instead.
-    """
-    store = ShardedResultStore(directory)
-    put = ResultStore.put
-    copies = 0
-
-    def put_then_pause(self, *args, **kwargs):
-        nonlocal copies
-        put(self, *args, **kwargs)
-        copies += 1
-        if copies == _COPIES_BEFORE_KILL:
-            midway.set()
-            time.sleep(600)  # the parent SIGKILLs this process here
-
-    ResultStore.put = put_then_pause
-    started.set()
-    store.rebalance()
-
-
-class TestKilledRebalance:
-    def test_sigkill_mid_rebalance_then_rerun_converges(self, tmp_path):
-        directory = str(tmp_path)
-        store = ShardedResultStore(directory, nodes=2, replication=1)
-        digests = _fill(store, 200)
-        store.add_node("node02")
-
-        started = multiprocessing.Event()
-        midway = multiprocessing.Event()
-        child = multiprocessing.Process(
-            target=_rebalance_child, args=(directory, started, midway)
-        )
-        child.start()
-        assert started.wait(timeout=60)
-        # The child has copied some keys and is paused mid-move.
-        assert midway.wait(timeout=60)
-        os.kill(child.pid, signal.SIGKILL)
-        child.join(timeout=60)
-        assert child.exitcode == -signal.SIGKILL
-
-        # The rerun picks up where the corpse left off: nothing the
-        # interrupted copy touched may be unreadable or lost.
-        survivor = ShardedResultStore(directory)
-        report = survivor.rebalance()
-        assert report.unreadable == 0
-        assert report.keys == 200
-        for index, digest in enumerate(digests):
-            holders = [
-                name for name in survivor.nodes
-                if digest in survivor.node_store(name)
-            ]
-            assert holders == list(survivor.map.nodes_for(digest))
-            assert survivor.get(digest)["value"] == index
-        scrub = survivor.scrub()
-        assert scrub.corrupt == 0
-        assert scrub.scanned == 200
-        # And the rerun after the rerun is a no-op.
-        assert survivor.rebalance().moved == 0

@@ -5,7 +5,8 @@ order, and what falls off the lattice).  The ``Prewarmer`` tests drive
 a real thread-mode service and assert the full prefetcher ledger:
 predicted / issued / useful / wasted / dropped, plus the two
 never-compete rules (issue only into an empty queue, bounded inflight)
-and the priority class ordering that keeps speculation preemptible.
+and the priority class ordering that queues speculation behind real
+work.  A started pre-warm cell runs to completion like any other job.
 """
 
 import asyncio

@@ -207,6 +207,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             main(["table1", "--snapshot-every", "5000", "--deadline", "60"])
 
+    def test_service_store_refuses_snapshot_every(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tinytiming", "--service-store", str(tmp_path / "cache"),
+                  "--snapshot-every", "5000"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--service-store cannot be combined with --snapshot-every" \
+            in err
+        assert "snapshot policy" in err
+        # Refused before any service started or store was opened.
+        assert not (tmp_path / "cache").exists()
+
 
 class TestInvariantFlag:
     def test_check_invariants_flag_restores_global_state(self, capsys):

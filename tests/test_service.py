@@ -6,6 +6,10 @@ backpressure, priority boosts, retry-then-fail, and shutdown draining.
 """
 
 import asyncio
+import errno
+import pickle
+import threading
+import types
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.service import (
     SimRequest,
     SimulationService,
 )
+from repro.service import workers
 from repro.service.client import ServiceSession, sweep_speedups
 
 SCALE = 0.02  # tiny but real workloads; each cell runs in well under a second
@@ -35,6 +40,29 @@ def _request(seed=1, **kwargs):
 
 def _drive(coroutine):
     return asyncio.run(coroutine)
+
+
+@pytest.fixture
+def held_worker(monkeypatch):
+    """Thread workers hold every job until ``release`` is set.
+
+    ``entered`` is set once a worker has picked up a job, and ``started``
+    lists job digests in the order workers picked them up.
+    """
+    hold = types.SimpleNamespace(
+        entered=threading.Event(), release=threading.Event(), started=[],
+    )
+    execute = workers.execute_job
+
+    def held(spec):
+        hold.started.append(spec["digest"])
+        hold.entered.set()
+        hold.release.wait(60)
+        return execute(spec)
+
+    monkeypatch.setattr(workers, "execute_job", held)
+    yield hold
+    hold.release.set()
 
 
 class TestSingleFlightDedup:
@@ -78,6 +106,31 @@ class TestSingleFlightDedup:
         assert status.executed == 2  # two distinct seeds actually ran
 
 
+class TestPriorityDispatch:
+    def test_interactive_job_overtakes_queued_sweep_cells(
+        self, tmp_path, held_worker
+    ):
+        async def scenario():
+            service = SimulationService(
+                str(tmp_path / "cache"), max_workers=1
+            )
+            running = service.submit(_request(seed=1))
+            await asyncio.to_thread(held_worker.entered.wait, 60)
+            sweeps = [service.submit(_request(seed=s)) for s in (2, 3, 4)]
+            interactive = service.submit(
+                _request(seed=5), priority=Priority.INTERACTIVE
+            )
+            held_worker.release.set()
+            jobs = [running, *sweeps, interactive]
+            await asyncio.gather(*(job.future for job in jobs))
+            await service.shutdown()
+            return [job.digest for job in jobs]
+
+        running, *sweeps, interactive = _drive(scenario())
+        # The running sweep cell finishes; the interactive job is next.
+        assert held_worker.started == [running, interactive, *sweeps]
+
+
 class TestCaching:
     def test_resubmission_is_served_from_cache(self, tmp_path):
         async def scenario():
@@ -96,6 +149,37 @@ class TestCaching:
         assert cached.mptu == result.mptu
         assert status.cache_hits == 1
         assert status.executed == 1
+
+    def test_failed_store_write_still_settles_the_job(self, tmp_path):
+        class FullDiskStore(ResultStore):
+            def put(self, *args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def scenario():
+            service = SimulationService(
+                FullDiskStore(str(tmp_path / "cache"))
+            )
+            job = service.submit(_request())
+            result = await asyncio.wait_for(job.future, 30)
+            again = service.submit(_request())
+            rerun = await asyncio.wait_for(again.future, 30)
+            await asyncio.wait_for(service.shutdown(), 30)
+            return job, again, result, rerun, service
+
+        job, again, result, rerun, service = _drive(scenario())
+        assert result.uops > 0
+        # Nothing was cached, so the resubmit computes again instead of
+        # joining the first job.
+        assert again is not job
+        assert again.source == "computed"
+        assert pickle.dumps(rerun) == pickle.dumps(result)
+        status = service.status()
+        assert status.completed == 2
+        assert status.executed == 2
+        assert status.store["puts"] == 0
+        errors = service.store.stats.errors
+        assert len(errors) == 2
+        assert all("write failed" in error for error in errors)
 
     def test_cache_survives_service_restart(self, tmp_path):
         store_dir = str(tmp_path / "cache")
@@ -296,10 +380,6 @@ class TestStatusReport:
     def test_invalid_construction_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_pending"):
             SimulationService(str(tmp_path / "c"), max_pending=0)
-        with pytest.raises(ValueError, match="snapshot_every"):
-            SimulationService(str(tmp_path / "c"), snapshot_every=-5)
-        with pytest.raises(ValueError, match="snapshot_dir"):
-            SimulationService(store=None, snapshot_every=1000)
         with pytest.raises(ValueError, match="'thread' or 'fabric'"):
             SimulationService(str(tmp_path / "c"), worker_mode="process")
 
@@ -470,20 +550,20 @@ class TestDeadlineShedding:
         assert status.deadline_shed == 1
         assert status.executed == 0  # nothing was computed for nobody
 
-    def test_queued_job_is_shed_when_its_deadline_passes(self, tmp_path):
+    def test_queued_job_is_shed_when_its_deadline_passes(
+        self, tmp_path, held_worker
+    ):
         from repro.service import DeadlineExpired
 
         async def scenario():
             service = SimulationService(
                 str(tmp_path / "cache"), max_workers=1
             )
-            # Takes the worker for far longer than the doomed job's
-            # 10 ms budget: a timing cell at five times the suite's
-            # scale (a scale-0.02 functional cell can finish inside it).
-            first = service.submit(
-                _request(seed=1, mode="timing", scale=5 * SCALE)
-            )
+            first = service.submit(_request(seed=1))  # holds the worker
             doomed = service.submit(_request(seed=2), deadline=0.01)
+            # The doomed job's 10 ms budget runs out while it queues.
+            await asyncio.sleep(0.05)
+            held_worker.release.set()
             with pytest.raises(DeadlineExpired) as excinfo:
                 await doomed.future
             await first.future

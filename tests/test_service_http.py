@@ -8,6 +8,7 @@ and ``/health`` schemas, and the profile load generator.
 """
 
 import asyncio
+import errno
 import json
 import threading
 
@@ -19,6 +20,7 @@ from repro.service import (
     Priority,
     ServiceClient,
     ServiceHTTPError,
+    ResultStore,
     ServiceHTTPServer,
     SimRequest,
     SimulationService,
@@ -175,6 +177,28 @@ class TestHTTPRoundTrip:
         assert cached["source"] == "cache"
         assert dict(computed, source="cache") == cached
         assert decode_result(cached).uops > 0  # digest-verified
+
+    def test_result_is_served_when_the_store_write_failed(self, tmp_path):
+        class FullDiskStore(ResultStore):
+            def put(self, *args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def scenario():
+            service = SimulationService(
+                FullDiskStore(str(tmp_path / "cache"))
+            )
+            server = ServiceHTTPServer(service, port=0)
+            await server.start()
+            client = AsyncServiceClient(port=server.port)
+            # The store never holds the result: the server must keep it.
+            served = await client.run(_request(), timeout=30)
+            in_process = await service.run(_request())
+            await _teardown(service, server, client)
+            return served, in_process
+
+        served, in_process = _drive(scenario())
+        assert (encode_result(served)["digest"]
+                == encode_result(in_process)["digest"])
 
     def test_result_while_pending_is_202(self, tmp_path):
         async def scenario():

@@ -11,6 +11,7 @@ load behind the breaker, and keep results digest-correct throughout.
 import asyncio
 import json
 import os
+import time
 
 import pytest
 
@@ -223,20 +224,39 @@ class TestStallReaper:
         # Repeated stalls are worker deaths -> the job is poison.
         assert status.quarantined_jobs == 1
 
-    def test_healthy_slow_job_outlives_the_stall_window(self, tmp_path):
+    def test_healthy_slow_job_outlives_the_stall_window(
+        self, tmp_path, monkeypatch
+    ):
         # A job much longer than the stall window but heartbeating the
         # whole way must NOT be reaped: supervision is liveness, not a
         # wall-clock budget.
+        from repro.workloads import suite
+
+        stall_window = 1.0
+        hold = 3 * stall_window
+        build = suite.build_benchmark
+
+        def slow_build(*args, **kwargs):
+            # Runs after the beat thread started, so the held job keeps
+            # heartbeating.  Fabric workers fork with this patch.
+            time.sleep(hold)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "build_benchmark", slow_build)
+
         async def scenario():
-            service = _service(tmp_path / "cache", stall_timeout=1.0)
+            service = _service(tmp_path / "cache", stall_timeout=stall_window)
+            started = time.monotonic()
             result = await asyncio.wait_for(
-                service.run(_request(scale=0.3, mode="timing")), 240
+                service.run(_request(mode="timing")), 240
             )
+            elapsed = time.monotonic() - started
             status = service.status()
             await service.shutdown()
-            return result, status
+            return result, status, elapsed
 
-        result, status = _drive(scenario())
+        result, status, elapsed = _drive(scenario())
+        assert elapsed >= hold  # the job really outlived the window
         assert result.cycles > 0
         assert status.reaped == 0
         assert status.worker_deaths == 0
