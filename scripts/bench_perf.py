@@ -316,8 +316,8 @@ def bench_fabric(seed: int = 1, jobs: int = FABRIC_JOBS) -> dict:
     """Fabric sweep throughput vs worker count, plus pre-warm hit rate.
 
     The scaling curve runs one sweep-shaped batch (one workload family,
-    distinct seeds — what the affinity router spreads across cells)
-    cold through the persistent-worker fabric at each pool size.  The
+    distinct seeds) cold through the persistent-worker fabric at each
+    pool size.  The
     pre-warm figure runs the same
     sweep *sequentially* (the queue empties between cells, which is
     when speculation is allowed to run) and reports how many cells the

@@ -20,9 +20,16 @@ nothing: every timing run snapshots its full architectural state
 periodically and ``--resume-from`` continues each run from its last
 snapshot, bit-identically (see :mod:`repro.snapshot`).
 
+An experiment that raises (an integrity violation under
+``--check-invariants``, a failed ``--service-store`` cell, a bug) does
+not stop the run: its error is recorded, the remaining experiments run,
+and a ``[partial: ...]`` summary naming every failed experiment ends the
+output.  A failed experiment is not checkpointed, so ``--resume`` runs
+it again.
+
 Exit codes: 0 — everything completed; 2 — bad invocation, corrupt or
-mismatched checkpoint/snapshot; 3 — completed partially (crash-safe
-sweeps skipped failing jobs; survivors' results are valid); 4 — the
+mismatched checkpoint/snapshot; 3 — completed partially (at least one
+experiment failed; every other experiment's results are valid); 4 — the
 wall-clock watchdog expired and state was snapshotted (resume with
 ``--resume-from``).
 """
@@ -34,10 +41,10 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from repro import perf
 from repro.core import invariants
-from repro.experiments import parallel as _parallel
 from repro.experiments import (
     ablation,
     faultsweep,
@@ -272,12 +279,13 @@ def main(argv=None) -> int:
             parser.error(str(exc))
     fingerprint = {"scale": args.scale, "seed": args.seed}
     completed: dict = {}
+    # "name: TypeName: message" for each experiment that raised.
+    failures: list = []
     previous_checks = invariants.set_global_checks(
         args.check_invariants or invariants.checks_enabled()
     )
     previous_profile = perf.set_enabled(args.profile or perf.enabled())
     previous_policy = set_policy(policy) if policy is not None else None
-    _parallel.drain_sweep_failures()  # stale failures from earlier calls
     session = None
     if args.service_store:
         from repro.service.client import ServiceSession
@@ -305,7 +313,14 @@ def main(argv=None) -> int:
             started = time.time()
             if args.profile:
                 perf.RECORDER.reset()
-            result = run(**kwargs)
+            try:
+                result = run(**kwargs)
+            except (CheckpointError, SnapshotError, WatchdogExpired):
+                raise
+            except Exception as exc:  # noqa: BLE001 - report it, run the rest
+                traceback.print_exc()
+                failures.append("%s: %s: %s" % (name, type(exc).__name__, exc))
+                continue
             elapsed = time.time() - started
             text = result.render()
             if args.profile:
@@ -340,17 +355,11 @@ def main(argv=None) -> int:
             status = session.status()
             session.close()
             print(status.render())
-    failures = _parallel.drain_sweep_failures()
     if failures:
-        summary = "[partial: %d job%s failed; survivors' results are " \
-            "complete]\n" % (len(failures), "" if len(failures) == 1 else "s")
-        summary += "\n".join(
-            "  %s: %s (after %d attempt%s%s)"
-            % (f.benchmark, f.error, f.attempts,
-               "" if f.attempts == 1 else "s",
-               ", timed out" if f.timed_out else "")
-            for f in failures
-        )
+        summary = "[partial: %d experiment%s failed; the others' results " \
+            "are complete]\n" % (len(failures),
+                                  "" if len(failures) == 1 else "s")
+        summary += "\n".join("  " + failure for failure in failures)
         print(summary)
         if args.out:
             with open(args.out, "a") as handle:

@@ -28,7 +28,6 @@ __all__ = [
     "RECORDER",
     "counter",
     "enabled",
-    "gauge",
     "record_throughput",
     "report",
     "set_enabled",
@@ -44,8 +43,6 @@ class PerfRecorder:
         self.stage_seconds: dict = {}
         self.stage_calls: dict = {}
         self.counters: dict = {}
-        # name -> high-water mark (service queue depth, in-flight jobs...).
-        self.gauges: dict = {}
         # kind -> list of (uops, seconds) samples.
         self.throughput_samples: dict = {}
 
@@ -71,14 +68,6 @@ class PerfRecorder:
         if not self.enabled:
             return
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record an instantaneous level; the report keeps the high-water."""
-        if not self.enabled:
-            return
-        current = self.gauges.get(name)
-        if current is None or value > current:
-            self.gauges[name] = value
 
     def record_throughput(self, kind: str, uops: int, seconds: float) -> None:
         """Record one simulator run: *uops* simulated in *seconds*."""
@@ -169,10 +158,6 @@ class PerfRecorder:
             )
         for name in sorted(self.counters):
             lines.append("  counter %-22s %d" % (name, self.counters[name]))
-        for name in sorted(self.gauges):
-            lines.append(
-                "  gauge   %-22s %g (high-water)" % (name, self.gauges[name])
-            )
         if len(lines) == 1:
             lines.append("  (nothing recorded)")
         return "\n".join(lines)
@@ -181,7 +166,6 @@ class PerfRecorder:
         self.stage_seconds.clear()
         self.stage_calls.clear()
         self.counters.clear()
-        self.gauges.clear()
         self.throughput_samples.clear()
 
 
@@ -206,10 +190,6 @@ def stage(name: str):
 
 def counter(name: str, amount: int = 1) -> None:
     RECORDER.counter(name, amount)
-
-
-def gauge(name: str, value: float) -> None:
-    RECORDER.gauge(name, value)
 
 
 def record_throughput(kind: str, uops: int, seconds: float) -> None:

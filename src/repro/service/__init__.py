@@ -11,8 +11,10 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   versioned invalidation.
 * :mod:`repro.service.scheduler` — :class:`SimulationService`: bounded
   priority queue, single-flight dedup, typed backpressure rejections,
-  and a retry/timeout worker tier (in-process threads, or the fabric's
-  worker processes); every job runs to completion.
+  and the one place a failed job is retried (jittered backoff, per-job
+  timeouts); every job runs to completion.
+* :mod:`repro.service.workers` — the job spec, :func:`execute_job`, the
+  in-process thread pool, and the failure-taxonomy codes.
 * :mod:`repro.service.client` — async sweep batching plus the blocking
   :class:`ServiceSession` facade, which can route the experiments CLI's
   sweeps through the cache (``repro-experiments ... --service-store``),
@@ -26,9 +28,8 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
 * :mod:`repro.service.loadgen` — profile-driven load generator for the
   HTTP tier (named traffic mixes × concurrency × duration).
 * :mod:`repro.service.fabric` — :class:`FabricCoordinator`: the
-  process-worker pool, persistent worker *processes* fed from
-  per-worker queues with content-affinity routing, work stealing, crash
-  respawn, and graceful per-worker drain (``repro-serve ...
+  process-worker pool, persistent worker *processes* fed one job at a
+  time from a single FIFO, with crash respawn (``repro-serve ...
   --fabric-workers N``).
 * :mod:`repro.service.prewarm` — :class:`Prewarmer`: speculative
   pre-computation of neighbouring sweep cells at a background priority
@@ -42,7 +43,7 @@ resubmitted, damaged store entries are quarantined — never deleted —
 and repairable ones recomputed (:meth:`ResultStore.scrub`), and a
 circuit breaker sheds sweep-class load under infrastructure failure
 storms while interactive requests keep flowing.  Failures carry stable
-taxonomy codes (:data:`repro.experiments.parallel.INFRASTRUCTURE_CODES`)
+taxonomy codes (:data:`repro.service.workers.INFRASTRUCTURE_CODES`)
 surfaced by ``repro-serve status``.  :mod:`repro.faults.infra` injects
 seeded chaos (worker kills, heartbeat stalls, store corruption) to
 prove all of it.

@@ -2,23 +2,22 @@
 
 :class:`FabricCoordinator` is the scheduler's process-worker pool (same
 protocol as the thread :class:`~repro.service.workers.WorkerPool`:
-``submit`` / ``kill`` / ``live_workers`` / ``shutdown``).  It keeps N
-long-lived worker processes and feeds each one job at a time.  A
-persistent worker amortises interpreter start-up *and* keeps the
-in-process workload image cache warm across jobs — on a sweep (many
-machine configs over one workload) that cache is most of the per-job
-cost, which is where the fabric's throughput comes from even before
-multi-core parallelism.
+``submit`` / ``kill`` / ``shutdown``).  It keeps N long-lived worker
+processes and feeds each one job at a time.  A persistent worker
+amortises interpreter start-up *and* keeps the in-process workload image
+cache warm across jobs — on a sweep (many machine configs over one
+workload) that cache is most of the per-job cost, which is where the
+fabric's throughput comes from even before multi-core parallelism.
 
-Queue discipline — pull-based, coordinator-owned:
+Queue discipline — one FIFO, coordinator-owned:
 
-* Every waiting job lives in a *coordinator-side* deque (one per
-  worker, filled by workload affinity so repeat workloads land where
-  their image is already cached).  A worker's own multiprocessing queue
-  never holds more than the single job it is currently executing, so
-  all remaining work stays visible and **stealable**: an idle worker
-  whose own deque is empty takes the oldest job from the longest
-  sibling backlog.
+* Every job waiting for a worker lives in one coordinator-side deque.
+  Whenever a worker is idle, the deque's head goes to it, the workers
+  taken in index order; a worker's own multiprocessing queue never
+  holds more than the single job it is executing.  Priority is the
+  scheduler's (its heap decides what to submit, and it submits only
+  while one of its worker slots is free); *which* worker runs a job is
+  decided here and nowhere else.
 * Workers report outcomes through per-job files written with the
   atomic-replace idiom (:func:`_supervised_entry`), never through a
   worker-written pipe: a SIGKILL mid-job can tear a pipe write and
@@ -28,13 +27,12 @@ Queue discipline — pull-based, coordinator-owned:
   It blocks on every live worker's sentinel (readable once the process
   dies), on a per-worker *done* pipe the worker rings with one byte
   once its outcome file is in place, and on a self-pipe that
-  :meth:`~FabricCoordinator.submit`, :meth:`~FabricCoordinator.kill`,
-  :meth:`~FabricCoordinator.drain_worker` and
-  :meth:`~FabricCoordinator.shutdown` ring.  The pipes carry no data,
-  only wake-ups; outcome files stay the only result channel, and every
-  wake-up re-checks all of them.  A backstop timeout (:data:`_BACKSTOP`)
-  covers a lost ring.  A dead worker's sentinel stays readable, so it
-  leaves the wait set once its death is handled.
+  :meth:`~FabricCoordinator.submit`, :meth:`~FabricCoordinator.kill`
+  and :meth:`~FabricCoordinator.shutdown` ring.  The pipes carry no
+  data, only wake-ups; outcome files stay the only result channel, and
+  every wake-up re-checks all of them.  A backstop timeout
+  (:data:`_BACKSTOP`) covers a lost ring.  A dead worker's sentinel
+  stays readable, so it leaves the wait set once its death is handled.
 
 Failure semantics follow the scheduler's failure taxonomy, so its
 retry/quarantine/breaker logic never cares which pool it drives:
@@ -44,25 +42,23 @@ retry/quarantine/breaker logic never cares which pool it drives:
   ``TypeName: message`` text;
 * a worker that dies mid-job resolves the in-flight future with
   :class:`~repro.service.workers.WorkerCrashed` (carrying the reaper's
-  kill code when the death was deliberate) and is **respawned** — one
-  crashed cell never shrinks the fabric;
+  kill code when the death was deliberate);
+* a dead worker — killed mid-job or while idle — is **respawned** by the
+  hand-out when there is a job for it, so no death shrinks the fabric,
+  and a worker that dies at start-up is never restarted in a loop;
 * heartbeats and seeded chaos both run inside
   :func:`~repro.service.workers.execute_job`, unchanged.  The
   coordinator additionally stamps each spec's chaos profile with the
   executing worker's name and per-worker job count, giving
   :mod:`repro.faults.infra` a per-worker decision axis.
 
-Graceful drain (:meth:`FabricCoordinator.drain_worker`) decommissions
-one worker without dropping work: its backlog is redistributed to
-siblings, a drain sentinel follows the in-flight job, and the process
-exits after finishing it.  Worker names (``w0`` … ``wN``) are plain
-strings: nothing below the coordinator assumes they share a host.
+Worker names (``w0`` … ``wN``) are plain strings: nothing below the
+coordinator assumes they share a host.
 """
 
 from __future__ import annotations
 
 import collections
-import hashlib
 import multiprocessing
 import os
 import pickle
@@ -74,9 +70,12 @@ import threading
 
 from concurrent.futures import Future
 
-from repro.experiments.parallel import CODE_WORKER_CRASHED
-
-from .workers import JobExecutionError, WorkerCrashed, execute_job
+from .workers import (
+    CODE_WORKER_CRASHED,
+    JobExecutionError,
+    WorkerCrashed,
+    execute_job,
+)
 
 __all__ = ["FABRIC_MODE", "FabricCoordinator"]
 
@@ -87,7 +86,7 @@ FABRIC_MODE = "fabric"
 #: then re-checks every outcome file and worker, in case a ring was lost.
 _BACKSTOP = 1.0
 
-#: How long a draining/shutdown worker may take to exit before SIGKILL.
+#: How long a worker may take to exit at shutdown before SIGKILL.
 _DRAIN_GRACE = 10.0
 
 
@@ -171,10 +170,9 @@ def _clear(fd: int) -> None:
 class _Pending:
     """One job the coordinator has accepted but not yet resolved."""
 
-    __slots__ = ("job_id", "spec", "future", "outcome_path")
+    __slots__ = ("spec", "future", "outcome_path")
 
-    def __init__(self, job_id: int, spec: dict, future, outcome_path: str):
-        self.job_id = job_id
+    def __init__(self, spec: dict, future, outcome_path: str):
         self.spec = spec
         self.future = future
         self.outcome_path = outcome_path
@@ -187,20 +185,17 @@ class _Pending:
 class _WorkerCell:
     """Coordinator-side state for one persistent worker process."""
 
-    __slots__ = ("wid", "name", "process", "job_q", "done", "backlog",
-                 "inflight", "jobs_done", "draining", "exited", "kill_code")
+    __slots__ = ("name", "process", "job_q", "done", "inflight",
+                 "jobs_done", "exited", "kill_code")
 
-    def __init__(self, wid: int) -> None:
-        self.wid = wid
-        self.name = "w%d" % wid
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.process = None
         self.job_q = None
         #: The *done* pipe, ``(reader, writer)``; kept across respawns.
         self.done = _doorbell()
-        self.backlog: collections.deque = collections.deque()
         self.inflight: _Pending | None = None
         self.jobs_done = 0
-        self.draining = False
         #: The process is dead and its death handled: its sentinel,
         #: readable from now on, is out of the dispatcher's wait set.
         self.exited = False
@@ -210,17 +205,12 @@ class _WorkerCell:
 class FabricCoordinator:
     """Pool-protocol front end over N persistent worker processes."""
 
-    def __init__(self, max_workers: int | None = None,
-                 chaos: dict | None = None) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = int(max_workers)
-        #: Optional fabric-level chaos profile stamped into every spec's
-        #: ``chaos`` dict (test harness only): adds the executing
-        #: worker's name and job index as a seeded decision axis.
-        self.chaos = chaos
         self._scratch = tempfile.mkdtemp(prefix="repro-fabric-")
         self._lock = threading.Lock()
         self._wake = _doorbell()
@@ -228,12 +218,12 @@ class FabricCoordinator:
         self._stopping = False
         self._closed = False
         self._seq = 0
+        #: Accepted jobs that no worker holds yet, oldest first.
+        self._queue: collections.deque = collections.deque()
         self._cells: list = []
-        self.steals = 0
         self.respawns = 0
-        self.drained = 0
         for wid in range(self.max_workers):
-            cell = _WorkerCell(wid)
+            cell = _WorkerCell("w%d" % wid)
             self._start_process(cell)
             self._cells.append(cell)
         self._dispatcher = threading.Thread(
@@ -258,35 +248,7 @@ class FabricCoordinator:
     def _wake_up(self) -> None:
         _ring(self._wake[1].fileno())
 
-    def workers(self) -> list:
-        """Per-worker census for status displays and tests."""
-        with self._lock:
-            return [
-                {
-                    "name": cell.name,
-                    "alive": cell.process.is_alive(),
-                    "pid": cell.process.pid,
-                    "jobs_done": cell.jobs_done,
-                    "backlog": len(cell.backlog),
-                    "busy": cell.inflight is not None,
-                    "draining": cell.draining,
-                }
-                for cell in self._cells
-            ]
-
-    def live_workers(self) -> int:
-        with self._lock:
-            return sum(
-                1 for cell in self._cells if cell.process.is_alive()
-            )
-
     # -- submission + dispatch ------------------------------------------------
-
-    def _affinity(self, spec: dict) -> int:
-        """Route repeat workloads to the worker whose cache holds them."""
-        key = "%s|%s|%s" % (spec["benchmark"], spec["scale"], spec["seed"])
-        digest = hashlib.blake2b(key.encode(), digest_size=4).digest()
-        return int.from_bytes(digest, "big") % len(self._cells)
 
     def submit(self, spec: dict) -> Future:
         future: Future = Future()
@@ -295,49 +257,32 @@ class FabricCoordinator:
             if self._closed:
                 raise RuntimeError("fabric coordinator is shut down")
             self._seq += 1
-            pending = _Pending(
-                self._seq, spec, future,
+            self._queue.append(_Pending(
+                spec, future,
                 os.path.join(self._scratch, "job-%d.out" % self._seq),
-            )
-            cell = self._cells[self._affinity(spec)]
-            if cell.draining or not cell.process.is_alive():
-                cell = min(
-                    (c for c in self._cells if not c.draining),
-                    key=lambda c: len(c.backlog),
-                    default=cell,
-                )
-            cell.backlog.append(pending)
+            ))
             self._hand_out_locked()
         self._wake_up()
         return future
 
-    def _next_job_locked(self, cell: _WorkerCell) -> _Pending | None:
-        """The idle *cell*'s next job: own backlog first, else steal."""
-        if cell.backlog:
-            return cell.backlog.popleft()
-        victim = max(
-            (c for c in self._cells if c is not cell and c.backlog),
-            key=lambda c: len(c.backlog), default=None,
-        )
-        if victim is None:
-            return None
-        self.steals += 1
-        return victim.backlog.popleft()
-
     def _hand_out_locked(self) -> None:
-        """Feed every idle live worker one job (its own or a stolen one)."""
+        """Give the queue's head to each idle worker, in index order.
+
+        A dead worker is restarted here, and only when there is a job
+        for it: one that dies at start-up is never restarted in a loop.
+        """
         if self._stopping:
             return
         for cell in self._cells:
-            if (cell.inflight is not None or cell.draining
-                    or not cell.process.is_alive()):
+            if not self._queue:
+                return
+            if cell.inflight is not None:
                 continue
-            pending = self._next_job_locked(cell)
-            if pending is None:
-                continue
+            if not cell.process.is_alive():
+                self.respawns += 1
+                self._start_process(cell)
+            pending = self._queue.popleft()
             chaos = pending.spec.get("chaos")
-            if self.chaos is not None:
-                chaos = dict(self.chaos, **(chaos or {}))
             if chaos is not None:
                 chaos = dict(chaos, worker=cell.name,
                              worker_jobs=cell.jobs_done)
@@ -381,14 +326,8 @@ class FabricCoordinator:
                     # crash): the scheduler sees WorkerCrashed.
                     cell.inflight = None
                     self._fail_crashed(pending, cell)
-                    if not self._stopping and not cell.draining:
-                        self.respawns += 1
-                        self._start_process(cell)
             if (cell.inflight is None and not cell.exited
                     and not cell.process.is_alive()):
-                if cell.draining:
-                    cell.draining = False  # drained and exited: spare
-                    self.drained += 1
                 cell.exited = True
 
     def _resolve(self, pending: _Pending) -> None:
@@ -419,7 +358,7 @@ class FabricCoordinator:
             code=code, exitcode=exitcode,
         ))
 
-    # -- kills, drain, shutdown -----------------------------------------------
+    # -- kills, shutdown ------------------------------------------------------
 
     def kill(self, digest: str, code: str) -> bool:
         """SIGKILL the worker executing *digest*, recording *code* as why."""
@@ -433,36 +372,6 @@ class FabricCoordinator:
                     self._wake_up()
                     return True
         return False
-
-    def drain_worker(self, name: str) -> bool:
-        """Gracefully decommission one worker: finish, then exit.
-
-        Its backlog moves to the least-loaded siblings immediately; the
-        drain sentinel queues behind the in-flight job (there is never
-        more than one).  Returns whether *name* was a live worker.
-        """
-        with self._lock:
-            cell = next(
-                (c for c in self._cells
-                 if c.name == name and not c.draining
-                 and c.process.is_alive()),
-                None,
-            )
-            if cell is None:
-                return False
-            takers = [c for c in self._cells
-                      if c is not cell and not c.draining
-                      and c.process.is_alive()]
-            if not takers:
-                return False  # never drain the last live worker
-            cell.draining = True
-            while cell.backlog:
-                min(takers, key=lambda c: len(c.backlog)).backlog.append(
-                    cell.backlog.popleft()
-                )
-            cell.job_q.put(("drain",))
-        self._wake_up()
-        return True
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
@@ -491,13 +400,11 @@ class FabricCoordinator:
                 pending, cell.inflight = cell.inflight, None
                 if pending is not None and not pending.future.done():
                     self._fail_crashed(pending, cell)
-                while cell.backlog:
-                    stranded = cell.backlog.popleft()
-                    if not stranded.future.done():
-                        stranded.future.set_exception(WorkerCrashed(
-                            "fabric shut down before the job ran"
-                        ))
                 cell.job_q.close()
+            while self._queue:
+                self._queue.popleft().future.set_exception(WorkerCrashed(
+                    "fabric shut down before the job ran"
+                ))
         self._wake_up()
         self._dispatcher.join(timeout=2.0)
         if not self._dispatcher.is_alive():

@@ -980,6 +980,9 @@ class ServiceHTTPServer:
                    "result-store lookup misses", kind="counter")
             metric("store_puts_total", stats.puts,
                    "results written to the store", kind="counter")
+            metric("store_write_errors_total", stats.write_errors,
+                   "store writes that failed (the job still resolved)",
+                   kind="counter")
             metric("store_invalidated_total", stats.invalidated,
                    "entries quarantined on read/scrub", kind="counter")
             metric("store_entries", len(store.entries()),

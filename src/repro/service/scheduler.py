@@ -19,14 +19,13 @@ locks); blocking simulation work happens in the worker tier
    stopped, so an interactive request waits for at most one running
    cell per worker.
 5. **Retry** — worker failures and per-job timeouts are retried with
-   the jittered backoff shared with
-   :mod:`repro.experiments.parallel`; exhausted retries fail the job's
-   future with :class:`JobFailed` carrying the
-   :class:`~repro.experiments.parallel.JobFailure` record.
+   jittered backoff (:func:`backoff_delay`); exhausted retries fail the
+   job's future with :class:`JobFailed` carrying the :class:`JobFailure`
+   record.  The scheduler is the only place a failed job is retried.
 6. **Completion** — results are written back to the store (atomic,
    content-addressed) and every joined future resolves.  The store is
-   a cache: a failed write is recorded in the store's ``stats.errors``
-   and the job still resolves with its result.
+   a cache: a failed write is counted in the store's
+   ``stats.write_errors`` and the job still resolves with its result.
 
 ``shutdown(drain=True)`` stops intake and runs the queue dry;
 ``drain=False`` fails queued jobs with :class:`ServiceClosed` and waits
@@ -53,7 +52,7 @@ into behaviour:
   retry budget is never burned on it again.
 * **Circuit breaker** — ``breaker_threshold`` consecutive
   infrastructure failures (taxonomy codes in
-  :data:`~repro.experiments.parallel.INFRASTRUCTURE_CODES`) open the
+  :data:`~repro.service.workers.INFRASTRUCTURE_CODES`) open the
   breaker: sweep-class submissions are shed with
   :class:`ServiceDegraded` while interactive requests keep flowing.
   After ``breaker_cooldown`` seconds a sweep submission is admitted as
@@ -73,22 +72,12 @@ import heapq
 import itertools
 import json
 import os
+import random
 import shutil
 import tempfile
 import time as _time
 from dataclasses import dataclass, field
 
-from repro import perf
-from repro.experiments.parallel import (
-    CODE_SIM_ERROR,
-    CODE_TIMEOUT,
-    CODE_WORKER_CRASHED,
-    CODE_WORKER_STALLED,
-    DEFAULT_BACKOFF,
-    JobFailure,
-    backoff_delay,
-    is_infrastructure_code,
-)
 from repro.service.request import (
     Priority,
     SimRequest,
@@ -98,18 +87,25 @@ from repro.service.request import (
 from repro.service.fabric import FABRIC_MODE, FabricCoordinator
 from repro.service.store import ResultStore, atomic_write_json
 from repro.service.workers import (
+    CODE_SIM_ERROR,
+    CODE_TIMEOUT,
+    CODE_WORKER_CRASHED,
+    CODE_WORKER_STALLED,
     JobExecutionError,
     WorkerCrashed,
     WorkerPool,
     heartbeat_path,
+    is_infrastructure_code,
     make_job_spec,
 )
 
 __all__ = [
     "CODE_DEADLINE",
+    "DEFAULT_BACKOFF",
     "DeadlineExpired",
     "Job",
     "JobFailed",
+    "JobFailure",
     "JobQuarantined",
     "QueueFull",
     "ServiceClosed",
@@ -118,6 +114,7 @@ __all__ = [
     "ServiceStatus",
     "SimulationService",
     "STATS_FILENAME",
+    "backoff_delay",
     "merge_stats_trees",
 ]
 
@@ -129,6 +126,42 @@ CODE_DEADLINE = "deadline_expired"
 #: Filename (under the store root) the service persists its final
 #: status counters to at shutdown, for ``repro-serve status``.
 STATS_FILENAME = "service-stats.json"
+
+#: Per-attempt backoff base (seconds); attempt *n* waits ``backoff * n``
+#: on average, jittered ±50% (see :func:`backoff_delay`).
+DEFAULT_BACKOFF = 0.25
+
+_JITTER = random.Random()
+
+
+def backoff_delay(backoff: float, attempt: int) -> float:
+    """Jittered linear backoff for retry attempt *attempt*.
+
+    Uniform over ``[0.5, 1.5] * backoff * attempt``: when several jobs
+    fail together (a machine-wide stall, an OOM killer pass), unjittered
+    retries re-land simultaneously and recreate the contention that
+    killed them; the spread decorrelates them.
+    """
+    if backoff <= 0:
+        return 0.0
+    return backoff * attempt * (0.5 + _JITTER.random())
+
+
+@dataclass
+class JobFailure:
+    """One job the service could not complete."""
+
+    benchmark: str
+    error: str
+    attempts: int
+    #: Failure-taxonomy code of the *final* attempt
+    #: (:mod:`repro.service.workers`).
+    code: str = CODE_SIM_ERROR
+
+    @property
+    def infrastructure(self) -> bool:
+        """Whether the infrastructure, not the simulation, failed."""
+        return is_infrastructure_code(self.code)
 
 # -- cross-process stats aggregation ------------------------------------------
 #
@@ -607,7 +640,8 @@ class ServiceStatus:
         if self.store is not None:
             lines.append(
                 "  store: %(hits)d hits / %(misses)d misses "
-                "(%(puts)d writes, %(invalidated)d invalidated)" % self.store
+                "(%(puts)d writes, %(write_errors)d failed, "
+                "%(invalidated)d invalidated)" % self.store
             )
         if self.prewarm is not None:
             lines.append(
@@ -637,8 +671,9 @@ class SimulationService:
         Bound on *queued* (not yet running) jobs; beyond it submissions
         raise :class:`QueueFull`.
     job_timeout / retries / backoff:
-        Per-execution wall-clock limit and retry policy (shared
-        semantics with :func:`repro.experiments.parallel.run_sweep`).
+        Per-execution wall-clock limit and retry policy: a failed
+        attempt is retried up to ``retries`` more times after a
+        :func:`backoff_delay` pause.
     stall_timeout:
         Heartbeat stall window for fabric workers: a worker whose
         heartbeat goes silent this long is killed and its job retried
@@ -786,14 +821,13 @@ class SimulationService:
             record_path = os.path.join(directory, job.digest + ".json")
             try:
                 atomic_write_json(record_path, record)
-            except OSError as exc:
+            except OSError:
                 # Refused in memory all the same; only the record that
                 # outlives a restart is lost.
-                self._store_write_failed(job.digest, exc)
+                self._store_write_failed()
                 record_path = None
         self._poisoned[job.digest] = record_path
         self._stats.quarantined_jobs = len(self._poisoned)
-        perf.counter("service.job_quarantined")
 
     # -- circuit breaker ------------------------------------------------------
 
@@ -810,13 +844,10 @@ class SimulationService:
             self._breaker_open = True
             self._breaker_opened_at = _time.monotonic()
             self._stats.breaker_opened += 1
-            perf.counter("service.breaker_opened")
 
     def _record_success(self) -> None:
         self._infra_streak = 0
-        if self._breaker_open:
-            self._breaker_open = False
-            perf.counter("service.breaker_closed")
+        self._breaker_open = False
 
     def _shed_check(self, digest: str, priority: Priority) -> None:
         """Raise :class:`ServiceDegraded` for sweep load while open."""
@@ -831,7 +862,6 @@ class SimulationService:
             return
         self._stats.shed += 1
         self._stats.rejected += 1
-        perf.counter("service.shed")
         raise ServiceDegraded(digest, self._infra_streak)
 
     # -- backpressure hints ---------------------------------------------------
@@ -895,7 +925,6 @@ class SimulationService:
         if deadline is not None and deadline <= 0:
             self._stats.deadline_shed += 1
             self._stats.rejected += 1
-            perf.counter("service.deadline_shed")
             raise DeadlineExpired(digest)
         deadline_at = (
             _time.monotonic() + deadline if deadline is not None else None
@@ -913,7 +942,6 @@ class SimulationService:
         existing = self._inflight.get(digest)
         if existing is not None:
             self._stats.dedup_hits += 1
-            perf.counter("service.dedup_hit")
             # A dedup join can only *widen* the job's deadline: the most
             # patient caller keeps the work alive.
             if existing.deadline is not None:
@@ -934,7 +962,6 @@ class SimulationService:
             cached = self.store.get(digest, fingerprint=tree)
             if cached is not None:
                 self._stats.cache_hits += 1
-                perf.counter("service.cache_hit")
                 self._latency[priority.name].record(0.0)
                 future = loop.create_future()
                 future.set_result(cached)
@@ -948,14 +975,12 @@ class SimulationService:
         if digest in self._poisoned:
             self._stats.quarantine_rejections += 1
             self._stats.rejected += 1
-            perf.counter("service.quarantine_rejected")
             raise JobQuarantined(digest, self._poisoned[digest])
 
         self._shed_check(digest, priority)
 
         if self._queued >= self.max_pending:
             self._stats.rejected += 1
-            perf.counter("service.rejected")
             raise QueueFull(
                 digest, self._queued, self.max_pending,
                 retry_after=self.retry_after_hint(),
@@ -1001,7 +1026,6 @@ class SimulationService:
         self._queued += 1
         if self._queued > self._stats.queue_high_water:
             self._stats.queue_high_water = self._queued
-        perf.gauge("service.queue_depth", self._queued)
 
     def _pop_job(self) -> Job | None:
         while self._queue:
@@ -1031,7 +1055,6 @@ class SimulationService:
             job.attempts = 0
             self._running.add(job)
             self._stats.running = len(self._running)
-            perf.gauge("service.running", len(self._running))
             task = loop.create_task(self._execute(job))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
@@ -1042,7 +1065,6 @@ class SimulationService:
         self._inflight.pop(job.digest, None)
         self._stats.deadline_shed += 1
         self._mark_drained()
-        perf.counter("service.deadline_shed")
         if not job.future.done():
             job.future.set_exception(DeadlineExpired(job.digest, where))
 
@@ -1069,7 +1091,6 @@ class SimulationService:
             for job in self._find_stalled():
                 if self._pool.kill(job.digest, CODE_WORKER_STALLED):
                     self._stats.reaped += 1
-                    perf.counter("service.reaped")
 
     def _find_stalled(self, now: float | None = None) -> list:
         """Supervised jobs whose worker is silent past the stall window.
@@ -1127,7 +1148,6 @@ class SimulationService:
                         else min(timeout, remaining)
                     )
                 self._stats.executed += 1
-                perf.counter("service.executed")
                 handle = asyncio.wrap_future(self._pool.submit(job.spec))
                 try:
                     if timeout is not None:
@@ -1175,7 +1195,6 @@ class SimulationService:
                     "attempt": job.attempts, "code": code, "error": error,
                 })
                 self._record_failure_code(code)
-                perf.counter("service.attempt_failed")
                 if job.attempts <= self.retries and code != CODE_DEADLINE:
                     delay = backoff_delay(self.backoff, job.attempts)
                     if (job.deadline is not None
@@ -1197,7 +1216,7 @@ class SimulationService:
                     job,
                     JobFailure(
                         job.request.benchmark, error, job.attempts,
-                        timed_out=(code == CODE_TIMEOUT), code=code,
+                        code=code,
                     ),
                 )
                 return
@@ -1215,11 +1234,11 @@ class SimulationService:
                     job.digest, result, fingerprint=job.fingerprint,
                     meta=meta,
                 )
-            except OSError as exc:
+            except OSError:
                 # The store is a cache: a failed write (a full disk)
                 # costs the next request a recompute, never this job
                 # its result.
-                self._store_write_failed(job.digest, exc)
+                self._store_write_failed()
             else:
                 job.stored = True
         job.state = "done"
@@ -1228,14 +1247,11 @@ class SimulationService:
         self._latency[job.priority.name].record(latency)
         self._stats.completed += 1
         self._mark_drained()
-        perf.counter("service.completed")
         if not job.future.done():
             job.future.set_result(result)
 
-    def _store_write_failed(self, digest: str, exc: OSError) -> None:
-        self.store.stats.errors.append(
-            "%s: write failed: %s" % (digest, exc)
-        )
+    def _store_write_failed(self) -> None:
+        self.store.stats.write_errors += 1
 
     def _fail(self, job: Job, failure: JobFailure) -> None:
         job.state = "failed"
@@ -1243,7 +1259,6 @@ class SimulationService:
         self._stats.failed += 1
         self._failures.append(failure)
         self._mark_drained()
-        perf.counter("service.failed")
         # Poison-job detection: the retries were exhausted by worker
         # *deaths*, not by a clean simulation error — this job takes its
         # worker down with it and must never be resubmitted.  (Timeouts

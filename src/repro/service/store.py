@@ -77,7 +77,7 @@ _HEXDIGITS = set("0123456789abcdef")
 QUARANTINE_DIRNAME = "quarantine"
 
 # Failure-taxonomy codes for store-entry damage (the store-side half of
-# the taxonomy in :mod:`repro.experiments.parallel`).
+# the taxonomy in :mod:`repro.service.workers`).
 CODE_UNREADABLE = "unreadable"
 CODE_BAD_ENVELOPE = "bad_envelope"
 CODE_VERSION_MISMATCH = "version_mismatch"
@@ -132,7 +132,9 @@ class StoreStats:
     invalidated: int = 0
     #: Quarantine counts by failure code (``checksum_mismatch``, ...).
     quarantined: dict = field(default_factory=dict)
-    errors: list = field(default_factory=list)
+    #: Result or sidecar writes that failed (a full disk, a dead
+    #: directory); the job still resolved, only its cache entry is lost.
+    write_errors: int = 0
 
     @property
     def lookups(self) -> int:
@@ -149,6 +151,7 @@ class StoreStats:
             "puts": self.puts,
             "invalidated": self.invalidated,
             "quarantined": dict(self.quarantined),
+            "write_errors": self.write_errors,
             "hit_rate": round(self.hit_rate, 4),
         }
 
@@ -308,9 +311,6 @@ class ResultStore:
         self.stats.invalidated += 1
         self.stats.quarantined[code] = (
             self.stats.quarantined.get(code, 0) + 1
-        )
-        self.stats.errors.append(
-            "%s: %s" % (os.path.basename(path), reason)
         )
         os.makedirs(self.quarantine_dir, exist_ok=True)
         name = os.path.basename(path)

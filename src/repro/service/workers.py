@@ -11,8 +11,8 @@ completion and returns ``("done", result, meta)``: the completed
 :class:`WorkerPool` runs jobs on in-process threads: the library and
 test path.  Process workers are the fabric's
 (:class:`~repro.service.fabric.FabricCoordinator`); both pools answer
-the same protocol (``submit`` / ``kill`` / ``live_workers`` /
-``shutdown``), so the scheduler never branches on which one it drives.
+the same protocol (``submit`` / ``kill`` / ``shutdown``), so the
+scheduler never branches on which one it drives.
 When the spec carries ``supervise``, :func:`execute_job` touches a
 per-digest heartbeat file every ``interval`` seconds from a daemon
 thread, so the scheduler's reaper can tell a fabric worker that is
@@ -20,17 +20,14 @@ thread, so the scheduler's reaper can tell a fabric worker that is
 window) and kill + requeue it — a liveness check orthogonal to the
 wall-clock ``job_timeout``.
 
+Every failed execution attempt carries one of the failure-taxonomy
+codes defined here (:data:`CODE_SIM_ERROR` … :data:`CODE_WORKER_STALLED`).
 A process worker that dies without an outcome resolves its future with
-:class:`WorkerCrashed` carrying a failure-taxonomy code
-(:data:`~repro.experiments.parallel.CODE_WORKER_CRASHED`, or the code
-the reaper recorded when it did the killing).  A clean simulation
+:class:`WorkerCrashed` carrying :data:`CODE_WORKER_CRASHED`, or the code
+the reaper recorded when it did the killing.  A clean simulation
 exception crosses the process boundary as :class:`JobExecutionError`
 with the original ``TypeName: message`` text, so the scheduler can keep
 telling "the job is wrong" apart from "the machinery died".
-
-The retry/backoff machinery and the failure taxonomy are shared with the
-crash-safe sweep runner (:mod:`repro.experiments.parallel`) — the
-service is the always-on face of the same worker discipline.
 """
 
 from __future__ import annotations
@@ -40,16 +37,54 @@ import os
 import threading
 
 from repro.configio import machine_config_from_dict
-from repro.experiments.parallel import CODE_WORKER_CRASHED
 
 __all__ = [
+    "CODE_SIM_ERROR",
+    "CODE_TIMEOUT",
+    "CODE_WORKER_CRASHED",
+    "CODE_WORKER_STALLED",
+    "INFRASTRUCTURE_CODES",
     "JobExecutionError",
     "WorkerCrashed",
     "WorkerPool",
     "execute_job",
     "heartbeat_path",
+    "is_infrastructure_code",
     "make_job_spec",
 ]
+
+# -- failure taxonomy ---------------------------------------------------------
+#
+# Stable code strings: ``status --json``, the ``/metrics`` labels and
+# poison-job quarantine records all carry them.  The split that matters
+# operationally is *simulation* failures (the job itself is wrong —
+# retrying cannot help beyond transient flakiness) vs *infrastructure*
+# failures (the machinery running the job died — the job may be fine, or
+# it may be poison that kills every worker it touches).
+
+#: The job raised a clean Python exception (bad benchmark name, a bug in
+#: the simulator, an assertion): the worker survived to report it.
+CODE_SIM_ERROR = "sim_error"
+#: The job exceeded its wall-clock budget and was abandoned (and, under
+#: fabric workers, killed).
+CODE_TIMEOUT = "timeout"
+#: The worker process died without reporting a result (signal, OOM kill,
+#: interpreter abort).
+CODE_WORKER_CRASHED = "worker_crashed"
+#: The worker's heartbeat went silent past the stall window and the
+#: scheduler's reaper killed it.
+CODE_WORKER_STALLED = "worker_stalled"
+
+#: Codes that indicate the *infrastructure* failed, not the simulation.
+#: These feed the service's circuit breaker and poison-job quarantine.
+INFRASTRUCTURE_CODES = frozenset(
+    {CODE_TIMEOUT, CODE_WORKER_CRASHED, CODE_WORKER_STALLED}
+)
+
+
+def is_infrastructure_code(code: str) -> bool:
+    """Whether *code* names an infrastructure (not simulation) failure."""
+    return code in INFRASTRUCTURE_CODES
 
 
 class WorkerCrashed(Exception):
@@ -234,10 +269,6 @@ class WorkerPool:
     def kill(self, digest: str, code: str) -> bool:
         """Threads cannot be killed: never finds a worker to kill."""
         return False
-
-    def live_workers(self) -> int:
-        """Worker processes alive: none, the workers are threads."""
-        return 0
 
     def shutdown(self, wait: bool = True) -> None:
         # cancel_futures guards against jobs sneaking in post-drain.

@@ -1,4 +1,4 @@
-"""Fabric coordinator: pool protocol, stealing, drain, crash respawn.
+"""Fabric coordinator: pool protocol, one job queue, crash respawn.
 
 The coordinator-level tests drive :class:`FabricCoordinator` directly
 with raw job specs (the same dicts the scheduler builds); the
@@ -10,6 +10,7 @@ so the scheduler genuinely does not care which pool it drives.
 import asyncio
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -76,23 +77,20 @@ def held_worker(monkeypatch, tmp_path):
 
 
 class TestCoordinator:
-    def test_executes_jobs_and_steals_from_hot_backlogs(self):
+    def test_one_queue_feeds_every_idle_worker(self):
         fabric = FabricCoordinator(max_workers=3)
         try:
-            # One workload => one affinity bucket: every job routes to
-            # the same cell, so the idle siblings must steal to help.
+            # One workload: the queue's head goes to whichever worker
+            # is idle, so the jobs spread over the workers.
             futures = [
                 fabric.submit(_spec(_request(seed=1)))
                 for _ in range(9)
             ]
             results = [_wait(f) for f in futures]
             assert all(r is not None for r in results)
-            done = sum(w["jobs_done"] for w in fabric.workers())
-            assert done == 9
-            assert fabric.steals > 0
-            assert sum(
-                1 for w in fabric.workers() if w["jobs_done"] > 0
-            ) >= 2
+            jobs_done = [cell.jobs_done for cell in fabric._cells]
+            assert sum(jobs_done) == 9
+            assert sum(1 for done in jobs_done if done > 0) >= 2
         finally:
             fabric.shutdown()
 
@@ -122,41 +120,22 @@ class TestCoordinator:
             with pytest.raises(WorkerCrashed) as crash:
                 _wait(future)
             assert crash.value.code == "worker_stalled"
-            # Respawned: the fabric still has a live worker that works.
-            deadline = time.monotonic() + 30
-            while fabric.live_workers() < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
+            # Respawned: the next job runs on a fresh worker.
             assert _wait(fabric.submit(_spec(_request()))) is not None
             assert fabric.respawns == 1
         finally:
             fabric.shutdown()
 
-    def test_drain_worker_finishes_without_dropping_work(self):
-        fabric = FabricCoordinator(max_workers=2)
-        try:
-            futures = [
-                fabric.submit(_spec(_request(seed=seed)))
-                for seed in range(1, 7)
-            ]
-            victim = fabric.workers()[0]["name"]
-            assert fabric.drain_worker(victim)
-            assert not fabric.drain_worker(victim)  # already draining
-            results = [_wait(f) for f in futures]
-            assert all(r is not None for r in results)
-            deadline = time.monotonic() + 30
-            while fabric.live_workers() > 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            assert fabric.drained == 1
-        finally:
-            fabric.shutdown()
-
-    def test_never_drains_the_last_live_worker(self):
+    def test_worker_killed_while_idle_is_replaced(self):
         fabric = FabricCoordinator(max_workers=1)
         try:
-            assert not fabric.drain_worker("w0")
-            assert fabric.live_workers() == 1
+            assert _wait(fabric.submit(_spec(_request()))) is not None
+            dead_pid = _kill_idle_worker(fabric, 0)
+            # Without a respawn the only worker is gone and this job
+            # never runs.
+            assert _wait(fabric.submit(_spec(_request())), 30) is not None
+            assert fabric._cells[0].process.pid != dead_pid
+            assert fabric.respawns == 1
         finally:
             fabric.shutdown()
 
@@ -176,6 +155,18 @@ class TestCoordinator:
             # never dangle.
             with pytest.raises(WorkerCrashed):
                 future.result(timeout=0)
+
+
+def _kill_idle_worker(fabric, index: int) -> int:
+    """SIGKILL idle worker *index*; its pid, once the death is handled."""
+    cell = fabric._cells[index]
+    pid = cell.process.pid
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not cell.exited:
+        assert time.monotonic() < deadline, "worker death never handled"
+        time.sleep(0.01)
+    return pid
 
 
 _needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -218,21 +209,16 @@ class TestDispatcherWakeups:
         try:
             outcome = _wait(fabric.submit(_spec(_request())), timeout=60)
             assert outcome[0] == "done"
-            assert fabric.workers()[0]["jobs_done"] == 1
         finally:
             fabric.shutdown()
 
     @_needs_proc
     def test_dead_worker_sentinel_leaves_the_wait_set(self):
-        # A drained worker's sentinel stays readable for good; polling it
+        # A dead worker's sentinel stays readable for good; polling it
         # again would spin the dispatcher.
         fabric = FabricCoordinator(max_workers=2)
         try:
-            assert fabric.drain_worker("w0")
-            deadline = time.monotonic() + 30
-            while fabric.drained < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
+            _kill_idle_worker(fabric, 0)
             time.sleep(0.2)
             before = _voluntary_switches(fabric._dispatcher)
             time.sleep(1.0)

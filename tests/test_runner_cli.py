@@ -119,20 +119,13 @@ class _Rendered:
         return self.text
 
 
-def _failing_job(job):
+def _failing_run(seed=1, scale=None):
+    """An experiment that raises, as one failing an integrity check does."""
     raise RuntimeError("boom")
 
 
-def _fake_partial_run(seed=1, scale=None):
-    """A sweep whose only job always fails: survivors=0, one JobFailure."""
-    from repro.experiments.parallel import run_sweep
-    from repro.params import MachineConfig
-
-    outcome = run_sweep(
-        MachineConfig(), ["b2b"], scale or 0.01, seed=seed,
-        processes=1, retries=1, backoff=0.0, job_runner=_failing_job,
-    )
-    return _Rendered("survivors: %d" % len(outcome.speedups))
+def _fake_after_failure_run(seed=1, scale=None):
+    return _Rendered("ran after the failure")
 
 
 def _fake_timing_run(seed=1, scale=None):
@@ -151,17 +144,32 @@ def _fake_timing_run(seed=1, scale=None):
 class TestExitCodes:
     @pytest.fixture(autouse=True)
     def _register(self, monkeypatch):
-        monkeypatch.setitem(EXPERIMENTS, "failsweep", _fake_partial_run)
         monkeypatch.setitem(EXPERIMENTS, "tinytiming", _fake_timing_run)
 
-    def test_partial_sweep_exit_code_and_summary(self, tmp_path, capsys):
+    def test_partial_sweep_exit_code_and_summary(self, tmp_path,
+                                                 monkeypatch, capsys):
         out_file = tmp_path / "results.txt"
-        assert main(["failsweep", "--out", str(out_file)]) == EXIT_PARTIAL
+        # "all" runs the registry in name order: failsweep first.
+        monkeypatch.setattr("repro.experiments.runner.EXPERIMENTS", {
+            "failsweep": _failing_run,
+            "failsweep2": _fake_after_failure_run,
+        })
+        assert main(["all", "--out", str(out_file)]) == EXIT_PARTIAL
         out = capsys.readouterr().out
-        assert "partial: 1 job failed" in out
-        assert "b2b: RuntimeError: boom (after 2 attempts)" in out
-        # The failure summary also lands in the --out file.
-        assert "partial: 1 job failed" in out_file.read_text()
+        # The experiment after the failing one still ran.
+        assert "ran after the failure" in out
+        assert "partial: 1 experiment failed" in out
+        assert "failsweep: RuntimeError: boom" in out
+        # The failure summary also lands in the --out file, and only the
+        # experiment that completed is checkpointed.
+        text = out_file.read_text()
+        assert "partial: 1 experiment failed" in text
+        assert "ran after the failure" in text
+        assert main(["all", "--out", str(out_file), "--resume"]) \
+            == EXIT_PARTIAL
+        out = capsys.readouterr().out
+        assert "[failsweep2 skipped: already in checkpoint]" in out
+        assert "failsweep: RuntimeError: boom" in out
 
     def test_clean_run_with_snapshots(self, tmp_path, capsys):
         snapdir = tmp_path / "snaps"

@@ -20,6 +20,7 @@ from repro.service import (
     QueueFull,
     ResultStore,
     ServiceClosed,
+    ServiceHTTPServer,
     SimRequest,
     SimulationService,
 )
@@ -177,9 +178,10 @@ class TestCaching:
         assert status.completed == 2
         assert status.executed == 2
         assert status.store["puts"] == 0
-        errors = service.store.stats.errors
-        assert len(errors) == 2
-        assert all("write failed" in error for error in errors)
+        assert status.store["write_errors"] == 2
+        assert "2 failed" in status.render()
+        metrics = ServiceHTTPServer(service).render_metrics()
+        assert "repro_service_store_write_errors_total 2" in metrics
 
     def test_cache_survives_service_restart(self, tmp_path):
         store_dir = str(tmp_path / "cache")

@@ -92,26 +92,26 @@ class TestCorruptionDegradesToMiss:
         self._tamper(store, result=pickle.dumps("swapped payload"))
         assert store.get(DIGEST) is None
         assert store.stats.invalidated == 1
-        assert any("checksum" in e for e in store.stats.errors)
+        assert store.stats.quarantined == {"checksum_mismatch": 1}
 
     def test_store_version_mismatch(self, store):
         store.put(DIGEST, "payload")
         self._tamper(store, store_version=RESULT_STORE_VERSION + 1)
         assert store.get(DIGEST) is None
         assert store.stats.invalidated == 1
-        assert any("version" in e for e in store.stats.errors)
+        assert store.stats.quarantined == {"version_mismatch": 1}
 
     def test_wrong_digest_key(self, store):
         store.put(DIGEST, "payload")
         self._tamper(store, digest=OTHER)
         assert store.get(DIGEST) is None
-        assert any("wrong digest" in e for e in store.stats.errors)
+        assert store.stats.quarantined == {"wrong_digest": 1}
 
     def test_fingerprint_mismatch(self, store):
         store.put(DIGEST, "payload", fingerprint={"seed": 1})
         assert store.get(DIGEST, fingerprint={"seed": 2}) is None
         assert store.stats.invalidated == 1
-        assert any("fingerprint" in e for e in store.stats.errors)
+        assert store.stats.quarantined == {"fingerprint_mismatch": 1}
 
     def test_fingerprint_not_checked_when_omitted(self, store):
         store.put(DIGEST, "payload", fingerprint={"seed": 1})

@@ -15,10 +15,6 @@ import time
 
 import pytest
 
-from repro.experiments.parallel import (
-    CODE_WORKER_CRASHED,
-    CODE_WORKER_STALLED,
-)
 from repro.faults.infra import InfraChaosConfig
 from repro.params import MachineConfig
 from repro.service import (
@@ -28,6 +24,15 @@ from repro.service import (
     ServiceDegraded,
     SimRequest,
     SimulationService,
+)
+from repro.service.scheduler import JobFailure
+from repro.service.workers import (
+    CODE_SIM_ERROR,
+    CODE_TIMEOUT,
+    CODE_WORKER_CRASHED,
+    CODE_WORKER_STALLED,
+    INFRASTRUCTURE_CODES,
+    is_infrastructure_code,
 )
 
 SCALE = 0.02
@@ -54,6 +59,20 @@ def _service(store_dir, **kwargs):
     )
     defaults.update(kwargs)
     return SimulationService(str(store_dir), **defaults)
+
+
+class TestFailureTaxonomy:
+    def test_infrastructure_codes_cover_machinery_not_jobs(self):
+        assert INFRASTRUCTURE_CODES == {
+            CODE_TIMEOUT, CODE_WORKER_CRASHED, CODE_WORKER_STALLED,
+        }
+        assert not is_infrastructure_code(CODE_SIM_ERROR)
+        assert all(is_infrastructure_code(c) for c in INFRASTRUCTURE_CODES)
+
+    def test_job_failure_defaults_to_sim_error(self):
+        failure = JobFailure("b2c", "boom", 1)
+        assert failure.code == "sim_error"
+        assert not failure.infrastructure
 
 
 class TestSupervisedPool:
