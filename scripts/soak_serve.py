@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Network-chaos soak for the HTTP serving tier.
 
-The proof harness for PR 9's resilience claims: a real
+The proof harness for the serving tier's network resilience: a real
 ``ServiceHTTPServer`` on a loopback port, a seeded
-:class:`repro.faults.net.ChaosTCPProxy` in front of it, and the profile
-load generator driving storm traffic *through the proxy* for minutes.
+:class:`repro.faults.net.ChaosTCPProxy` in front of it, and
+:func:`repro.faults.net.storm_traffic` driving retrying reads *through
+the proxy* for minutes.
 Three invariants are asserted, and the run fails loudly if any breaks:
 
 1. **Digest identity** — every result delivered through the storm is
@@ -20,7 +21,7 @@ Three invariants are asserted, and the run fails loudly if any breaks:
    descriptors or memory.  fd count is read from ``/proc/self/fd``
    before and after; RSS from ``/proc/self/status``.
 
-Usage (also the CI ``soak-smoke`` job, with ``--duration 45``)::
+Usage (also the CI ``soak-smoke`` job, with ``--duration 60``)::
 
     python scripts/soak_serve.py --duration 120 --concurrency 8 --json
 
@@ -40,16 +41,21 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.faults.net import ChaosTCPProxy, net_storm  # noqa: E402
+from repro.faults.net import (  # noqa: E402
+    ChaosTCPProxy,
+    net_storm,
+    storm_traffic,
+)
+from repro.params import MachineConfig  # noqa: E402
 from repro.service import (  # noqa: E402
     AsyncServiceClient,
     RetryPolicy,
     ServiceHTTPServer,
+    SimRequest,
     SimulationService,
+    encode_result,
     request_digest,
 )
-from repro.service.http import encode_result  # noqa: E402
-from repro.service.loadgen import generate_load, request_pool  # noqa: E402
 
 #: Slack on the fd-stability check: the event loop may briefly hold a
 #: few sockets in TIME_WAIT teardown when the snapshot is taken.
@@ -95,7 +101,11 @@ async def soak(args) -> dict:
               "concurrency": args.concurrency, "violations": []}
     try:
         # -- clean baseline: run the pool in-process, record digests ----
-        pool = request_pool(args.pool_size)
+        pool = [
+            SimRequest(machine=MachineConfig(), benchmark="b2c", scale=0.02,
+                       seed=seed, mode="functional")
+            for seed in range(1, args.pool_size + 1)
+        ]
         results = await service.run_batch(pool)
         clean = {
             request_digest(request): encode_result(result)["digest"]
@@ -107,18 +117,16 @@ async def soak(args) -> dict:
         fd_before = fd_count()
         rss_before = rss_kib()
 
-        # -- the storm: loadgen through the proxy ----------------------
+        # -- the storm: retrying reads through the proxy ---------------
         retry = RetryPolicy(
             attempts=6, backoff=0.05, max_backoff=1.0,
             request_timeout=max(2.0, args.stall_seconds + 1.0),
             seed=args.seed,
         )
-        storm = await generate_load(
-            "127.0.0.1", proxy.port,
-            profile="mixed", concurrency=args.concurrency,
-            duration=args.duration, mode="cached", pool=pool,
-            seed=args.seed, retry=retry, stop_on_error=False,
-            churn=args.churn,
+        storm = await storm_traffic(
+            "127.0.0.1", proxy.port, pool,
+            concurrency=args.concurrency, duration=args.duration,
+            retry=retry, churn=args.churn, seed=args.seed,
         )
         report["storm"] = storm
         report["proxy"] = {

@@ -49,14 +49,15 @@ result.  The proxy never changes *what* is computed — only whether a
 given attempt's bytes arrive intact — which is exactly the paper's
 stateless-prefetch argument transplanted to the transport.
 
-Used by ``tests/test_faults_net.py``, ``scripts/soak_serve.py``, and
-``scripts/bench_perf.py``'s ``http_chaos`` degradation curve.
+:func:`storm_traffic` drives retrying reads through the proxy.  Used by
+``tests/test_faults_net.py`` and ``scripts/soak_serve.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import random
 from dataclasses import dataclass
 
 from repro.faults.infra import _rng
@@ -66,6 +67,7 @@ __all__ = [
     "FAULT_FAMILIES",
     "NetChaosConfig",
     "net_storm",
+    "storm_traffic",
 ]
 
 #: Decision order of the fault families.  Fixed and part of the replay
@@ -147,6 +149,76 @@ def net_storm(seed: int = 0, stall_seconds: float = 1.0) -> NetChaosConfig:
         stall_seconds=stall_seconds,
         latency_rate=0.08,
     )
+
+
+async def storm_traffic(host: str, port: int, pool: list, *,
+                        concurrency: int, duration: float, retry,
+                        churn: int, seed: int) -> dict:
+    """Closed-loop reads of *pool* through a storm; returns the tallies.
+
+    *pool* is a list of ``SimRequest`` objects whose results are already
+    stored.  Each of *concurrency* callers owns one
+    :class:`~repro.service.client.AsyncServiceClient` (with *retry*),
+    walks the pool round robin from its own starting offset, and sends
+    half its requests, by a seeded coin, at interactive priority and half
+    as sweep.  429, 503 and 409 answers are counted and their
+    ``Retry-After`` honoured; a connection failure is counted and the
+    caller reconnects, never stopping before *duration* is up.  Every
+    *churn* requests served (never, if 0), the caller that served the
+    last one drops its connection: the proxy decides one fault per
+    connection, so churn turns a long run into many independent rolls.
+    """
+    from repro.service.client import AsyncServiceClient, ServiceHTTPError
+
+    loop = asyncio.get_running_loop()
+    served = 0
+    rejections = {"429": 0, "503": 0, "409": 0}
+    errors = []
+    started = loop.time()
+    stop_at = started + duration
+
+    async def caller(index: int) -> None:
+        nonlocal served
+        rng = random.Random(seed * 1000 + index)
+        client = AsyncServiceClient(host=host, port=port, retry=retry)
+        position = index
+        try:
+            while loop.time() < stop_at:
+                request = pool[position % len(pool)]
+                position += concurrency
+                priority = "interactive" if rng.random() < 0.5 else "sweep"
+                try:
+                    await client.run(request, priority=priority,
+                                     timeout=max(30.0, duration * 10))
+                except ServiceHTTPError as exc:
+                    key = str(exc.status)
+                    if key not in rejections:
+                        errors.append("%s: %s" % (exc.code, exc))
+                        continue
+                    rejections[key] += 1
+                    await asyncio.sleep(min(exc.retry_after or 0.1, 1.0))
+                except (ConnectionError, OSError, TimeoutError,
+                        ValueError, asyncio.IncompleteReadError) as exc:
+                    errors.append("%s: %s" % (type(exc).__name__, exc))
+                    client._drop_connection()
+                    await asyncio.sleep(min(0.05 + rng.random() * 0.1, 0.2))
+                else:
+                    served += 1
+                    if churn and served % churn == 0:
+                        client._drop_connection()
+        finally:
+            await client.close()
+
+    await asyncio.gather(*(caller(index) for index in range(concurrency)))
+    elapsed = loop.time() - started
+    return {
+        "served": served,
+        "elapsed_seconds": round(elapsed, 3),
+        "served_per_second": round(served / elapsed, 3),
+        "rejections": rejections,
+        "errors": len(errors),
+        "error_samples": errors[:5],
+    }
 
 
 def _abort(writer) -> None:

@@ -9,8 +9,7 @@ builders report into:
   ``timing-sim`` ...), accumulated across calls;
 * **counters** — named event counts (cache hits in the workload image
   cache, simulated µops ...);
-* **throughputs** — µops-per-second samples per simulator kind, the
-  number ``scripts/bench_perf.py`` records into ``BENCH_perf.json``.
+* **throughputs** — µops-per-second samples per simulator kind.
 
 Recording is off by default and costs one attribute check per call site
 when disabled, so the instrumentation can live permanently on the hot
@@ -85,22 +84,6 @@ class PerfRecorder:
         if total_seconds <= 0:
             return 0.0
         return total_uops / total_seconds
-
-    def uops_per_second_best(self, kind: str) -> float:
-        """Fastest single sample of *kind* (0.0 if none).
-
-        The best-of rate is what benchmark records should report: the
-        aggregate rate folds in time the OS scheduler gave to other
-        processes and cold-cache warm-up, which are properties of the
-        run environment, not the code under test.
-        """
-        best = 0.0
-        for uops, seconds in self.throughput_samples.get(kind, ()):
-            if seconds > 0:
-                rate = uops / seconds
-                if rate > best:
-                    best = rate
-        return best
 
     #: The canonical pipeline phases (label -> contributing stage names).
     #: ``timing-sim`` wall-clock *includes* the event drain interleaved

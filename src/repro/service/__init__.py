@@ -25,8 +25,6 @@ the substrate the ROADMAP's "heavy traffic" north star builds on:
   front end (``repro-serve serve``), with bearer-token → priority-class
   auth, typed 429/503/409 backpressure responses, digest-verified
   result transport, and Prometheus ``/metrics`` + ``/health``.
-* :mod:`repro.service.loadgen` — profile-driven load generator for the
-  HTTP tier (named traffic mixes × concurrency × duration).
 * :mod:`repro.service.fabric` — :class:`FabricCoordinator`: the
   process-worker pool, persistent worker *processes* fed one job at a
   time from a single FIFO, with crash respawn (``repro-serve ...

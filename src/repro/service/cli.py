@@ -32,10 +32,12 @@ and latency plus the full status counters).
 
 ``status`` reports the store's cached entries, the quarantine (damaged
 entries moved aside by validation/scrub, and poison jobs refused by the
-scheduler), and — when the last service run persisted its counters —
-the failure taxonomy of that run.  ``--json`` emits the same facts with
-a stable schema: ``{"store": ..., "quarantine": {"entries", "jobs"},
-"last_run": ...|null}``.
+scheduler), and — once a service run has persisted its counters — the
+service totals: each counter summed over every service run on this
+store, with the run count and the latest breaker state.  ``--json``
+emits the same facts with a stable schema: ``{"store": ...,
+"quarantine": {"entries", "jobs"}, "last_run": ...|null}``, where
+``last_run`` holds the totals and its ``runs`` the run count.
 
 ``serve`` runs the HTTP front end (:mod:`repro.service.http`) over a
 local :class:`SimulationService` until SIGINT/SIGTERM: submit / status /
@@ -338,7 +340,7 @@ def _job_quarantine_records(store) -> list:
 
 
 def _last_run_stats(store) -> dict | None:
-    """The counters the last service shutdown persisted, if any."""
+    """The service counters persisted on *store*, summed over its runs."""
     import os
 
     from repro.service.scheduler import STATS_FILENAME
@@ -395,8 +397,11 @@ def _cmd_status(args) -> int:
             print("  %s" % path)
     if last_run is not None:
         codes = last_run.get("failure_codes") or {}
-        print("last service run: %d completed, %d failed, breaker %s"
-              % (last_run.get("completed", 0), last_run.get("failed", 0),
+        runs = last_run.get("runs", 1)
+        print("service totals over %d run%s: %d completed, %d failed, "
+              "breaker %s at the latest shutdown"
+              % (runs, "" if runs == 1 else "s",
+                 last_run.get("completed", 0), last_run.get("failed", 0),
                  last_run.get("breaker_state", "?")))
         if codes:
             print("  failures by code: "

@@ -19,7 +19,8 @@ Two layers:
 
 * **HTTP clients** against a ``repro-serve serve`` front end
   (:mod:`repro.service.http`) — :class:`AsyncServiceClient` (asyncio,
-  persistent keep-alive connection, what the load generator drives)
+  persistent keep-alive connection, what
+  :func:`repro.faults.net.storm_traffic` and the benchmark drive)
   holds the one implementation of the protocol; :class:`ServiceClient`
   (blocking, for scripts and notebooks) runs it on a private event
   loop.  Results decode through
@@ -457,8 +458,7 @@ class AsyncServiceClient:
 
     Not task-safe by design: one client == one connection == one
     outstanding request (HTTP/1.1 without pipelining).  Concurrency is
-    expressed as N clients — exactly how the load generator models N
-    simultaneous callers.
+    expressed as N clients, one per simultaneous caller.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8140,

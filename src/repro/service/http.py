@@ -86,7 +86,6 @@ from repro.service.request import (
     Priority,
     SimRequest,
     parse_priority,
-    request_digest,
 )
 from repro.service.scheduler import (
     DeadlineExpired,
@@ -1056,8 +1055,3 @@ def request_to_wire(request: SimRequest, priority=None) -> dict:
     if priority is not None:
         body["priority"] = parse_priority(priority).name.lower()
     return body
-
-
-def wire_digest(request: SimRequest) -> str:
-    """The digest the server will answer with (client-side precompute)."""
-    return request_digest(request)

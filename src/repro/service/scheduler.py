@@ -1309,9 +1309,6 @@ class SimulationService:
         self._pool.shutdown(wait=True)
         if self._hb_dir is not None:
             shutil.rmtree(self._hb_dir, ignore_errors=True)
-        self._persist_stats()
-
-    def _persist_stats(self) -> None:
         self.flush_stats()
 
     def flush_stats(self) -> None:

@@ -18,6 +18,7 @@ from repro.faults.net import (
     ChaosTCPProxy,
     NetChaosConfig,
     net_storm,
+    storm_traffic,
 )
 from repro.params import MachineConfig
 from repro.service import (
@@ -218,15 +219,13 @@ class TestNetStorm:
     """The short in-suite cut of scripts/soak_serve.py."""
 
     def test_storm_serves_digest_identical_results(self, tmp_path):
-        from repro.service.loadgen import generate_load, request_pool
-
         async def scenario():
             service, server, proxy = await _proxied(
                 tmp_path,
                 net_storm(seed=1, stall_seconds=0.3),
                 header_timeout=0.5, body_timeout=0.5,
             )
-            pool = request_pool(6, scale=SCALE)
+            pool = [_request(seed) for seed in range(1, 7)]
             results = await service.run_batch(pool)
             clean = {
                 request_digest(request): encode_result(result)["digest"]
@@ -234,10 +233,9 @@ class TestNetStorm:
             }
             quarantined_before = service.status().quarantined_jobs
 
-            report = await generate_load(
-                "127.0.0.1", proxy.port, profile="mixed",
-                concurrency=4, duration=1.5, mode="cached", pool=pool,
-                seed=1, stop_on_error=False, churn=3,
+            report = await storm_traffic(
+                "127.0.0.1", proxy.port, pool,
+                concurrency=4, duration=1.5, churn=3, seed=1,
                 retry=RetryPolicy(attempts=6, backoff=0.02,
                                   max_backoff=0.2, request_timeout=2.0,
                                   seed=1),
@@ -255,12 +253,13 @@ class TestNetStorm:
             quarantined_after = service.status().quarantined_jobs
             await _teardown(service, server, proxy)
             return (report, clean, after, quarantined_before,
-                    quarantined_after, proxy.connections)
+                    quarantined_after, proxy.connections, proxy.injected)
 
-        (report, clean, after, q_before, q_after, connections) = \
+        (report, clean, after, q_before, q_after, connections, injected) = \
             _drive(scenario())
         assert report["served"] > 0, "storm served nothing: proved nothing"
         assert after == clean
         # Network faults must never read as poison jobs.
         assert q_after == q_before
         assert connections > 0
+        assert sum(injected.values()) > 0, "the storm injected no fault"

@@ -176,6 +176,26 @@ class TestStatus:
         assert report["last_run"]["failure_codes"] == {}
         assert report["last_run"]["breaker_state"] == "closed"
 
+    def test_status_reports_totals_over_every_run(self, tmp_path, capsys):
+        # The second batch is served from cache and computes nothing, so
+        # its counters alone would read 0 completed: what status prints
+        # is the store's totals, and it must say so.
+        store = str(tmp_path / "cache")
+        batch = _write_batch(tmp_path)
+        for _ in range(2):
+            assert main(["batch", batch, "--store", store]) == EXIT_CLEAN
+        capsys.readouterr()
+        assert main(["status", "--store", store]) == EXIT_CLEAN
+        human = capsys.readouterr().out
+        assert "service totals over 2 runs: 3 completed, 0 failed" in human
+        assert "last service run" not in human
+        assert main(["status", "--store", store, "--json"]) == EXIT_CLEAN
+        totals = json.loads(capsys.readouterr().out)["last_run"]
+        assert totals["runs"] == 2
+        assert totals["submitted"] == 6
+        assert totals["completed"] == 3
+        assert totals["cache_hits"] == 3
+
     def test_status_json_reports_failures_and_quarantine(
         self, tmp_path, capsys
     ):

@@ -3,8 +3,8 @@
 Everything runs against a real server on a loopback port with real
 (tiny functional) simulations behind it: round trips, digest identity
 with in-process results, typed backpressure status codes (429/503/409),
-bearer-token auth and its priority ceiling, the Prometheus ``/metrics``
-and ``/health`` schemas, and the profile load generator.
+bearer-token auth and its priority ceiling, and the Prometheus
+``/metrics`` and ``/health`` schemas.
 """
 
 import asyncio
@@ -516,39 +516,3 @@ class TestBlockingClient:
         result, health = asyncio.run(inside())
         assert result.uops > 0
         assert health["status"] == "ok"
-
-
-class TestLoadGenerator:
-    def test_cached_profile_run_reports_throughput(self, tmp_path):
-        from repro.service.loadgen import (
-            PROFILES,
-            generate_load,
-            request_pool,
-        )
-
-        assert set(PROFILES) == {
-            "interactive-heavy", "sweep-heavy", "mixed",
-        }
-
-        async def scenario():
-            service, server = await _serving(tmp_path)
-            pool = request_pool(4, scale=SCALE)
-            client = AsyncServiceClient(port=server.port)
-            for request in pool:
-                await client.run(request)
-            await client.close()
-            report = await generate_load(
-                "127.0.0.1", server.port, profile="interactive-heavy",
-                concurrency=2, duration=0.5, mode="cached", pool=pool,
-            )
-            await _teardown(service, server)
-            return report
-
-        report = _drive(scenario())
-        assert report["profile"] == "interactive-heavy"
-        assert report["mode"] == "cached"
-        assert report["served"] > 0
-        assert report["served_per_second"] > 0
-        assert report["errors"] == 0
-        assert report["latency_seconds"]["p95"] >= \
-            report["latency_seconds"]["p50"] >= 0
